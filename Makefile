@@ -57,7 +57,7 @@ bench:
 # One-iteration benchmark smoke pass over the hot-path packages: catches
 # benchmarks that no longer compile or crash, without the timing cost.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace ./internal/sim ./internal/cpu
 
 # Write a legacy single-run benchjson snapshot (the committed baseline is
 # the benchfmt one below; this format remains for tooling interop).

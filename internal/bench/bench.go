@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -278,24 +279,40 @@ type baselineKey struct {
 	cpuCfg     cpu.Config
 }
 
-// run executes one timing simulation on the configured model, reading the
-// workload's memoized trace replay rather than a live VM. col, when
-// non-nil, receives the run's telemetry (threaded through the engine so
-// both timing models are instrumented identically). Kernel errors
-// (corrupt replay, cancellation, deadlock guard) come back in Result.Err;
-// callers decide whether to abort their cell.
+// run executes one timing simulation on the configured model: a width-1
+// runGang.
 func (tc *timingContext) run(w *workload.Workload, cfg sim.Config, col *telemetry.Collector) cpu.Result {
-	cfg.Telemetry = col
-	engine := sim.NewEngine(cfg)
+	return tc.runGang(w, []sim.Config{cfg}, []*telemetry.Collector{col})[0]
+}
+
+// runGang executes one timing simulation per config, reading the
+// workload's memoized trace replay rather than a live VM. On the fast
+// model the configs run as one fused gang (cpu.RunReplayGang); the event
+// model runs them one by one. cols[i], when non-nil, receives config i's
+// telemetry (threaded through the engine so both timing models are
+// instrumented identically). Kernel errors (corrupt replay, cancellation,
+// deadlock guard) come back in Result.Err; callers decide whether to
+// abort their cell.
+func (tc *timingContext) runGang(w *workload.Workload, cfgs []sim.Config, cols []*telemetry.Collector) []cpu.Result {
 	rep := w.ReplayPrefix(tc.p.TimingBudget, tc.p.shareBudget())
-	var res cpu.Result
-	if tc.p.EventModel {
-		res = cpu.NewEvent(tc.cpuCfg, engine).RunCtx(tc.p.Context(), rep.Open(), tc.p.TimingBudget)
-	} else {
-		res = cpu.New(tc.cpuCfg, engine).RunReplayCtx(tc.p.Context(), rep, tc.p.TimingBudget)
+	ms := make([]*cpu.Machine, len(cfgs))
+	out := make([]cpu.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Telemetry = cols[i]
+		engine := sim.NewEngine(cfg)
+		if tc.p.EventModel {
+			out[i] = cpu.NewEvent(tc.cpuCfg, engine).RunCtx(tc.p.Context(), rep.Open(), tc.p.TimingBudget)
+		} else {
+			ms[i] = cpu.New(tc.cpuCfg, engine)
+		}
 	}
-	instructionsSim.Add(res.Instructions)
-	return res
+	if !tc.p.EventModel {
+		out = cpu.RunReplayGang(tc.p.Context(), rep, tc.p.TimingBudget, ms)
+	}
+	for _, res := range out {
+		instructionsSim.Add(res.Instructions)
+	}
+	return out
 }
 
 func (tc *timingContext) baseline(w *workload.Workload) int64 {
@@ -349,18 +366,95 @@ func (tc *timingContext) baseline(w *workload.Workload) int64 {
 	return c.cycles
 }
 
-// reduction runs the machine with the given target-cache configuration and
-// returns the execution-time reduction versus the BTB-only baseline. p is
-// the calling cell's Params (for telemetry attribution).
-func (tc *timingContext) reduction(p Params, w *workload.Workload, cfg sim.Config) float64 {
-	base := tc.baseline(w)
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	res := tc.run(w, cfg, col)
-	if res.Err != nil {
-		abortCell(res.Err)
+// timingCell is one fused timing cell: the execution-time reduction of
+// cfg over the BTB-only baseline on w.
+type timingCell struct {
+	tc  *timingContext
+	w   *workload.Workload
+	cfg sim.Config
+	out *float64
+}
+
+// gangKey groups timing cells into gangs: same experiment and machine
+// (the timing context), same capture. Every timing cell uses the paper's
+// front end; should members ever disagree on it, cpu.RunReplayGang panics
+// and execGang reruns them alone.
+type gangKey struct {
+	tc       *timingContext
+	workload string
+}
+
+func (t *timingCell) key() gangKey { return gangKey{tc: t.tc, workload: t.w.Name} }
+
+// reduction enqueues a timing cell under id: the execution-time reduction
+// of cfg versus the BTB-only baseline on w. The scheduler runs it fused
+// with its gang siblings; the slot is filled as if it ran alone.
+func (tc *timingContext) reduction(g *cellGroup, id cellID, w *workload.Workload, cfg sim.Config) *slot[float64] {
+	s := &slot[float64]{}
+	g.cells = append(g.cells, groupCell{id: id, st: &s.cellStatus, timing: &timingCell{tc: tc, w: w, cfg: cfg, out: &s.val}})
+	return s
+}
+
+// execGang runs one gang of timing cells as one pool item. Each member
+// keeps a cell's contract: its own prologue (cancellation, test hook),
+// baseline, telemetry collector, instruction accounting and CellError.
+// A failure before the gang drops only that member. Should the fused run
+// itself panic, every member reruns alone, so a fault stays confined to
+// the member that causes it.
+func (g *cellGroup) execGang(cells []*groupCell) {
+	start := time.Now()
+	defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
+	tc, w := cells[0].timing.tc, cells[0].timing.w
+	var live []*groupCell
+	var bases []int64
+	for _, c := range cells {
+		var base int64
+		if g.guard(c, func() {
+			g.enter(c)
+			base = tc.baseline(w)
+		}) {
+			live = append(live, c)
+			bases = append(bases, base)
+		}
 	}
-	return stats.Reduction(float64(base), float64(res.Cycles))
+	if len(live) == 0 {
+		return
+	}
+	cfgs := make([]sim.Config, len(live))
+	cols := make([]*telemetry.Collector, len(live))
+	for i, c := range live {
+		cfgs[i] = c.timing.cfg
+		cols[i] = g.p.forCell(c.id).startCollector()
+	}
+	results, fused := tryGang(tc, w, cfgs, cols)
+	for i, c := range live {
+		p := g.p.forCell(c.id)
+		g.guard(c, func() {
+			var res cpu.Result
+			if fused {
+				defer p.mergeCollector(cols[i])
+				res = results[i]
+			} else {
+				col := p.startCollector()
+				defer p.mergeCollector(col)
+				res = tc.run(w, cfgs[i], col)
+			}
+			if res.Err != nil {
+				abortCell(res.Err)
+			}
+			*c.timing.out = stats.Reduction(float64(bases[i]), float64(res.Cycles))
+		})
+	}
+}
+
+// tryGang runs the fused gang, reporting false when it panicked.
+func tryGang(tc *timingContext, w *workload.Workload, cfgs []sim.Config, cols []*telemetry.Collector) (results []cpu.Result, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return tc.runGang(w, cfgs, cols), true
 }
 
 // tcConfig builds a sim.Config with the given target cache and history

@@ -74,6 +74,9 @@ type groupCell struct {
 	id cellID
 	st *cellStatus
 	fn func(Params)
+	// timing, when non-nil, marks a fused timing cell: run schedules it
+	// in a gang with its siblings instead of calling fn.
+	timing *timingCell
 }
 
 type cellGroup struct {
@@ -105,13 +108,11 @@ func cell[T any](g *cellGroup, id cellID, fn func(Params) T) *slot[T] {
 	return s
 }
 
-// exec runs one cell, converting panics and aborts into a CellError on the
-// cell's status instead of unwinding the worker.
-func (g *cellGroup) exec(c *groupCell) {
-	g.p.Telemetry.CellStarted()
-	start := time.Now()
+// guard runs body on behalf of cell c, converting a panic or an abortCell
+// into c's CellError instead of unwinding the worker. It reports whether
+// body completed.
+func (g *cellGroup) guard(c *groupCell, body func()) (ok bool) {
 	defer func() {
-		g.p.Telemetry.AddBusy(time.Since(start))
 		if v := recover(); v != nil {
 			err, stack := recoveredErr(v)
 			c.st.cerr = &CellError{
@@ -126,16 +127,34 @@ func (g *cellGroup) exec(c *groupCell) {
 				// A raw panic (not a structured abortCell) was contained.
 				g.p.Telemetry.CellRecovered()
 			}
+			ok = false
 		}
 	}()
+	body()
+	return true
+}
+
+// enter is every cell's prologue, run inside its guard: an already
+// cancelled run marks the cell without starting its simulation, and the
+// test hook fires with the cell's label.
+func (g *cellGroup) enter(c *groupCell) {
+	g.p.Telemetry.CellStarted()
 	if err := g.p.Context().Err(); err != nil {
-		// Already cancelled: mark the cell without starting its simulation.
 		abortCell(err)
 	}
 	if hook := TestCellHook; hook != nil {
 		hook((&CellError{Experiment: g.experiment, Workload: c.id.Workload, Config: c.id.Config}).CellLabel())
 	}
-	c.fn(g.p.forCell(c.id))
+}
+
+// exec runs one unfused cell.
+func (g *cellGroup) exec(c *groupCell) {
+	start := time.Now()
+	defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
+	g.guard(c, func() {
+		g.enter(c)
+		c.fn(g.p.forCell(c.id))
+	})
 }
 
 // run executes all enqueued cells, at most g.workers at a time, and clears
@@ -151,7 +170,14 @@ func (g *cellGroup) run() {
 	// cell) so the count depends only on the queue length, never on
 	// scheduling order.
 	g.p.segs = g.p.cellSegments(len(cells))
-	pool.Run(g.workers, len(cells), func(i int) { g.exec(&cells[i]) })
+	items := g.plan(cells)
+	pool.Run(g.workers, len(items), func(i int) {
+		if item := items[i]; item[0].timing == nil {
+			g.exec(item[0])
+		} else {
+			g.execGang(item)
+		}
+	})
 	for i := range cells {
 		if ce := cells[i].st.cerr; ce != nil {
 			g.errs = append(g.errs, ce)
@@ -160,6 +186,46 @@ func (g *cellGroup) run() {
 	if g.p.fails != nil {
 		g.p.fails.add(g.errs...)
 	}
+}
+
+// maxGangWidth caps a timing gang: 16 members' pipeline state (~2 MB)
+// still fits a worker's share of cache.
+const maxGangWidth = 16
+
+// plan cuts the queue into pool items. An unfused cell is its own item.
+// Timing cells are grouped by gang key (timing context, workload), and
+// each group of K is split evenly into gangs of width
+// min(16, ceil(K/workers)) — one gang per worker when that fits — placed
+// where the group's first cell was enqueued. The event model never fuses.
+func (g *cellGroup) plan(cells []groupCell) [][]*groupCell {
+	groups := make(map[gangKey][]*groupCell)
+	for i := range cells {
+		if t := cells[i].timing; t != nil {
+			groups[t.key()] = append(groups[t.key()], &cells[i])
+		}
+	}
+	var items [][]*groupCell
+	for i := range cells {
+		c := &cells[i]
+		if c.timing == nil {
+			items = append(items, []*groupCell{c})
+			continue
+		}
+		members, ok := groups[c.timing.key()]
+		if !ok {
+			continue // the group was placed at its first cell
+		}
+		delete(groups, c.timing.key())
+		width := 1
+		if !g.p.EventModel {
+			width = min(maxGangWidth, (len(members)+g.workers-1)/g.workers)
+		}
+		gangs := (len(members) + width - 1) / width
+		for j := 0; j < gangs; j++ {
+			items = append(items, members[j*len(members)/gangs:(j+1)*len(members)/gangs])
+		}
+	}
+	return items
 }
 
 // finish appends the experiment's failure footer (as notes on the last

@@ -241,9 +241,7 @@ var table5 = registerExperiment(&Experiment{
 			for j, offset := range offsets {
 				for _, s := range pathSchemes(9, 1, offset) {
 					cfg := tcConfig(taglessGshare(512), path(s.Cfg))
-					reds[i][j] = append(reds[i][j], cell(g, cid(w, fmt.Sprintf("bit%d/%s", offset, s.Name)), func(p Params) float64 {
-						return tctx.reduction(p, w, cfg)
-					}))
+					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("bit%d/%s", offset, s.Name)), w, cfg))
 				}
 			}
 		}
@@ -283,9 +281,7 @@ var table6 = registerExperiment(&Experiment{
 			for j, bits := range bitCounts {
 				for _, s := range pathSchemes(9, bits, 2) {
 					cfg := tcConfig(taglessGshare(512), path(s.Cfg))
-					reds[i][j] = append(reds[i][j], cell(g, cid(w, fmt.Sprintf("%dbit/%s", bits, s.Name)), func(p Params) float64 {
-						return tctx.reduction(p, w, cfg)
-					}))
+					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dbit/%s", bits, s.Name)), w, cfg))
 				}
 			}
 		}
@@ -332,9 +328,7 @@ var table7 = registerExperiment(&Experiment{
 							Entries: 256, Ways: ways, Scheme: scheme, HistBits: 9,
 						})
 					}, pattern(9))
-					reds[i][j] = append(reds[i][j], cell(g, cid(w, fmt.Sprintf("%dway/scheme%d", ways, scheme)), func(p Params) float64 {
-						return tctx.reduction(p, w, cfg)
-					}))
+					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/scheme%d", ways, scheme)), w, cfg))
 				}
 			}
 		}
@@ -378,9 +372,7 @@ var table8 = registerExperiment(&Experiment{
 							Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: 9,
 						})
 					}, path(s.Cfg))
-					reds[i][j] = append(reds[i][j], cell(g, cid(w, fmt.Sprintf("%dway/%s", ways, s.Name)), func(p Params) float64 {
-						return tctx.reduction(p, w, cfg)
-					}))
+					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/%s", ways, s.Name)), w, cfg))
 				}
 			}
 		}
@@ -425,9 +417,7 @@ var table9 = registerExperiment(&Experiment{
 							Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: bits,
 						})
 					}, pattern(bits))
-					reds[i][j] = append(reds[i][j], cell(g, cid(w, fmt.Sprintf("%dway/%dbits", ways, bits)), func(p Params) float64 {
-						return tctx.reduction(p, w, cfg)
-					}))
+					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/%dbits", ways, bits)), w, cfg))
 				}
 			}
 		}
@@ -465,9 +455,7 @@ var figures12and13 = registerExperiment(&Experiment{
 		taglessReds := make([]*slot[float64], len(ws))
 		taggedReds := make([][]*slot[float64], len(ws))
 		for i, w := range ws {
-			taglessReds[i] = cell(g, cid(w, "tagless-512"), func(p Params) float64 {
-				return tctx.reduction(p, w, tcConfig(taglessGshare(512), pattern(9)))
-			})
+			taglessReds[i] = tctx.reduction(g, cid(w, "tagless-512"), w, tcConfig(taglessGshare(512), pattern(9)))
 			taggedReds[i] = make([]*slot[float64], len(wayCounts))
 			for j, ways := range wayCounts {
 				cfg := tcConfig(func() core.TargetCache {
@@ -475,9 +463,7 @@ var figures12and13 = registerExperiment(&Experiment{
 						Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: 9,
 					})
 				}, pattern(9))
-				taggedReds[i][j] = cell(g, cid(w, fmt.Sprintf("tagged-256/%dway", ways)), func(p Params) float64 {
-					return tctx.reduction(p, w, cfg)
-				})
+				taggedReds[i][j] = tctx.reduction(g, cid(w, fmt.Sprintf("tagged-256/%dway", ways)), w, cfg)
 			}
 		}
 		g.run()

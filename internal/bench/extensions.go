@@ -68,7 +68,7 @@ var cxxExperiment = registerExperiment(&Experiment{
 			accs[i] = cell(g, cid(w, v.name+"/accuracy"), func(p Params) float64 {
 				return runAccuracy(w, p, v.cfg).IndirectMispredictRate()
 			})
-			reds[i] = cell(g, cid(w, v.name+"/timing"), func(p Params) float64 { return tctx.reduction(p, w, v.cfg) })
+			reds[i] = tctx.reduction(g, cid(w, v.name+"/timing"), w, v.cfg)
 		}
 		g.run()
 

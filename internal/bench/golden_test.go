@@ -21,6 +21,10 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // the whole suite.
 var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget"}
 
+// goldenTelemetryHeader separates the golden artifact's experiment tables
+// from its telemetry section.
+const goldenTelemetryHeader = "== telemetry: per-site indirect-jump report ==\n\n"
+
 // renderGolden runs the golden experiment slice with telemetry enabled at
 // the given worker count and returns the full text artifact: the rendered
 // experiment tables followed by the per-site telemetry report — exactly
@@ -28,6 +32,22 @@ var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget"}
 func renderGolden(t *testing.T, parallel int) string {
 	t.Helper()
 	rec := telemetry.NewRecorder(telemetry.Config{Events: 4})
+	out := renderGoldenTables(t, parallel, rec)
+	out += goldenTelemetryHeader
+	// Run-level metrics (wall time, occupancy) are deliberately absent
+	// from WriteSites, so the artifact is reproducible.
+	var sites bytes.Buffer
+	if err := rec.Report(telemetry.RunInfo{}).WriteSites(&sites, 10); err != nil {
+		t.Fatal(err)
+	}
+	return out + sites.String()
+}
+
+// renderGoldenTables runs the golden experiment slice at the given worker
+// count, with telemetry collected into rec (nil disables it), and returns
+// the rendered experiment tables.
+func renderGoldenTables(t *testing.T, parallel int, rec *telemetry.Recorder) string {
+	t.Helper()
 	p := Params{
 		AccuracyBudget: 200_000,
 		TimingBudget:   100_000,
@@ -54,12 +74,6 @@ func renderGolden(t *testing.T, parallel int) string {
 	}
 	if len(res.Failures) > 0 {
 		t.Fatalf("golden run had %d cell failure(s): %v", len(res.Failures), res.Failures[0])
-	}
-	out.WriteString("== telemetry: per-site indirect-jump report ==\n\n")
-	// Run-level metrics (wall time, occupancy) are deliberately absent
-	// from WriteSites, so the artifact is reproducible.
-	if err := rec.Report(telemetry.RunInfo{}).WriteSites(&out, 10); err != nil {
-		t.Fatal(err)
 	}
 	return out.String()
 }
@@ -103,6 +117,29 @@ func TestGoldenReportParallel(t *testing.T) {
 	parallel := renderGolden(t, 8)
 	if serial != parallel {
 		t.Errorf("parallel output differs from serial\n%s", firstDiff(parallel, serial))
+	}
+}
+
+// TestGoldenTablesWithoutTelemetry pins the unobserved run: with no
+// collectors attached, the golden slice's tables at -parallel 1 and 8 are
+// byte-identical to the golden file's table section, so observing a run
+// changes neither its path nor its numbers.
+func TestGoldenTablesWithoutTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden run simulates several million instructions")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, ok := strings.Cut(string(golden), goldenTelemetryHeader)
+	if !ok {
+		t.Fatal("golden file has no telemetry section header")
+	}
+	for _, parallel := range []int{1, 8} {
+		if got := renderGoldenTables(t, parallel, nil); got != want {
+			t.Errorf("-parallel %d: unobserved tables drifted from the golden file\n%s", parallel, firstDiff(got, want))
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -107,5 +111,47 @@ func mustRun(t *testing.T, id string, p Params) {
 	}
 	if tables := e.Run(p); len(tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
+	}
+}
+
+// panicTC faults on its first prediction: a failure inside a fused gang
+// rather than in a cell's prologue.
+type panicTC struct{ core.TargetCache }
+
+func (panicTC) Predict(pc, hist uint64) (uint64, bool) { panic("injected predictor fault") }
+
+// TestGangPanicIsConfinedToItsMember pins the gang's fault isolation: when
+// the fused run itself panics, the members rerun alone, so only the
+// faulty member fails and its siblings report what they report alone.
+func TestGangPanicIsConfinedToItsMember(t *testing.T) {
+	w, err := workload.ByName("perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{AccuracyBudget: 20_000, TimingBudget: 20_000, Parallel: 1}
+	good := tcConfig(taglessGshare(512), pattern(9))
+	bad := tcConfig(func() core.TargetCache { return panicTC{taglessGshare(512)()} }, pattern(9))
+	run := func(cfgs ...sim.Config) []*slot[float64] {
+		g := newCellGroup(p)
+		tctx := newTimingContext(p)
+		var slots []*slot[float64]
+		for i, cfg := range cfgs {
+			slots = append(slots, tctx.reduction(g, cid(w, fmt.Sprint(i)), w, cfg))
+		}
+		if items := g.plan(g.cells); len(items) != 1 {
+			t.Fatalf("%d members planned into %d items, want one gang", len(cfgs), len(items))
+		}
+		g.run()
+		return slots
+	}
+	alone := run(good)[0]
+	got := run(good, bad, good)
+	for _, i := range []int{0, 2} {
+		if !got[i].ok() || got[i].val != alone.val {
+			t.Errorf("sibling %d: ok=%v val=%v, want the solo run's %v", i, got[i].ok(), got[i].val, alone.val)
+		}
+	}
+	if got[1].ok() || !strings.Contains(got[1].cerr.Error(), "injected predictor fault") {
+		t.Errorf("faulty member: %v, want the injected fault", got[1].cerr)
 	}
 }

@@ -48,5 +48,8 @@ func (s *RAS) Peek() (uint64, bool) {
 // Depth returns the number of live entries.
 func (s *RAS) Depth() int { return s.depth }
 
+// Cap returns the stack's capacity.
+func (s *RAS) Cap() int { return len(s.stack) }
+
 // Reset empties the stack.
 func (s *RAS) Reset() { s.top, s.depth = 0, 0 }

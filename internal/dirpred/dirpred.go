@@ -74,6 +74,9 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// Config returns the predictor's configuration.
+func (p *Predictor) Config() Config { return p.cfg }
+
 func (p *Predictor) index(pc uint64) uint64 {
 	switch p.cfg.Scheme {
 	case SchemeGAg:

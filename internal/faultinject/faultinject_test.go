@@ -125,6 +125,61 @@ func TestPanicInCellIsIsolated(t *testing.T) {
 	assertHealthyRowsIntact(t, healthy, out1, "gcc")
 }
 
+// TestPanicInGangMemberIsIsolated panics one member of a fused timing
+// gang: only that entry renders ERR, and every gang sibling stays
+// byte-identical to a fault-free run, at any worker count (and so at any
+// gang width).
+func TestPanicInGangMemberIsIsolated(t *testing.T) {
+	const label = "table7/gcc/4way/scheme2"
+	exps := experiments(t, "table7")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+	restore := plan.Install()
+	defer restore()
+
+	res, out1 := runSuite(t, exps, 1)
+	_, out8 := runSuite(t, exps, 8)
+	if out1 != out8 {
+		t.Error("faulty output differs between 1 and 8 workers")
+	}
+	if len(res.Failures) != 1 || res.Failures[0].CellLabel() != label {
+		t.Fatalf("failures %v, want exactly %s", res.Failures, label)
+	}
+
+	// Drop the failure footer; what remains must match the healthy run
+	// line for line, except the gcc 4-way row, whose History Xor entry
+	// (the last column) alone reads ERR.
+	var faulty []string
+	for _, l := range strings.Split(out1, "\n") {
+		if !strings.Contains(l, "cell(s) failed") && !strings.HasPrefix(l, "note: ERR ") {
+			faulty = append(faulty, l)
+		}
+	}
+	lines := strings.Split(healthy, "\n")
+	if len(lines) != len(faulty) {
+		t.Fatalf("faulty output has %d lines, healthy %d", len(faulty), len(lines))
+	}
+	inGcc, errRows := false, 0
+	for i, h := range lines {
+		if strings.HasPrefix(h, "Table 7 (") {
+			inGcc = strings.HasPrefix(h, "Table 7 (gcc)")
+		}
+		if h == faulty[i] {
+			continue
+		}
+		hf, ff := strings.Fields(h), strings.Fields(faulty[i])
+		want := append(append([]string(nil), hf[:len(hf)-1]...), "ERR")
+		if !inGcc || hf[0] != "4" || strings.Join(ff, " ") != strings.Join(want, " ") {
+			t.Errorf("line changed under a one-member fault:\n  healthy: %q\n  faulty:  %q", h, faulty[i])
+		}
+		errRows++
+	}
+	if errRows != 1 {
+		t.Errorf("%d rows changed, want exactly the faulty member's", errRows)
+	}
+}
+
 func TestCorruptReplayIsIsolated(t *testing.T) {
 	exps := experiments(t, "table2", "cbt")
 	_, healthy := runSuite(t, exps, 1)

@@ -52,9 +52,10 @@ func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult
 // when cancelled, returning the partial counts accumulated so far.
 //
 // When factory is a memoized trace.Replay (or pre-decoded trace.Blocks),
-// the run uses the batched decode-once kernel with devirtualized predictor
-// calls; results are identical to the streaming loop below, which remains
-// the reference path for arbitrary sources.
+// the run uses the batched decode-once kernel (Engine.Predict/Resolve
+// inlined; pointer-typed predictors still dispatch through the generics
+// dictionary, see kernel.go); results are identical to the streaming loop
+// below, which remains the reference path for arbitrary sources.
 func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {
 	if bs, ok := blocksFor(factory); ok {
 		return runAccuracyBlocks(ctx, bs, budget, 0, cfg)

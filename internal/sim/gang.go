@@ -130,13 +130,13 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 		providers = append(providers, pt.Config.NewHistory())
 	}
 
-	// Monomorphize the kernel over the members' concrete target-cache type
+	// Instantiate the kernel over the members' concrete target-cache type
 	// when the gang is family-homogeneous. Grid expansion emits points
 	// family by family, so shards — and the gangs cut from them — mix
-	// families only at grid boundaries; the homogeneous instantiations make
-	// the per-member Predict/Update calls direct (and inlinable) exactly
-	// like the solo kernel's, and the rare mixed gang takes the
-	// interface-typed instantiation of the same kernel.
+	// families only at grid boundaries; the rare mixed gang takes the
+	// interface-typed instantiation of the same kernel. As in the solo
+	// kernel, pointer-typed caches share one GC shape, so the per-member
+	// Predict/Update calls still go through the generics dictionary.
 	switch {
 	case allOf[*core.Tagless](tcs):
 		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagless](tcs), providers), true

@@ -17,10 +17,17 @@ import (
 //     varint-decoded a single time process-wide — and non-branch records
 //     are skipped with a one-byte class check, never materializing a
 //     Record.
-//   - Devirtualization. The per-branch Predict/Resolve sequence is
-//     inlined here and instantiated per concrete (target cache, history)
-//     pair, so the hot path is direct calls on concrete structs instead
-//     of interface dispatch through core.TargetCache/history.Provider.
+//   - Inlining and instantiation. The per-branch Predict/Resolve sequence
+//     is inlined here (no Engine calls, one BTB probe per branch) and the
+//     kernel is instantiated per (target cache, history) type pair. That
+//     instantiation does not devirtualize the predictor calls: Go
+//     stencils generics per GC shape, and every pointer type argument
+//     (*core.Tagless, *core.Tagged, *history.Path, ...) shares the
+//     go.shape.*uint8 shape, so those Predict/Update/Value/Observe calls
+//     still dispatch through the generics dictionary — profile frames read
+//     accuracyKernel[go.shape.*uint8,...]. Only the BTB-only no-ops and
+//     the struct-typed history.PatternProvider are stenciled as direct,
+//     inlinable calls.
 //
 // The inlined sequence must mirror Engine.Predict/Engine.Resolve exactly;
 // TestKernelMatchesGenericLoop and the bench golden report pin the
@@ -70,7 +77,7 @@ func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
 // (target cache, history) pair the engine was built with. Unlisted pairs
 // (the followup predictors: cascaded, ITTAGE, chooser) fall back to an
 // interface-typed instantiation of the same kernel — still decode-once,
-// just without devirtualized predictor calls.
+// with the predictor calls dispatched through the interfaces.
 func runAccuracyBlocks(ctx context.Context, bs trace.BlockSource, budget, flushInterval int64, cfg Config) AccuracyResult {
 	engine := NewEngine(cfg)
 	return runAccuracyEngine(ctx, bs, 0, budget, flushInterval, engine)
@@ -109,7 +116,7 @@ func dispatchHist[TC targetCache](ctx context.Context, bs trace.BlockSource, sta
 	return accuracyKernel[TC, history.Provider](ctx, bs, start, budget, flushInterval, engine, tc, engine.Hist)
 }
 
-// accuracyKernel is the batched, devirtualized accuracy loop over records
+// accuracyKernel is the batched, inlined accuracy loop over records
 // [start, budget). tc and hist are the engine's own target cache and
 // history, passed at their concrete types; engine is retained for Reset
 // (flush intervals) and telemetry. Instruction indices (context polls,

@@ -18,7 +18,7 @@ type opaqueFactory struct{ rep trace.Factory }
 func (f opaqueFactory) Open() trace.Source { return f.rep.Open() }
 
 // kernelConfigs covers every dispatch arm in runAccuracyBlocks: the
-// BTB-only baseline, each devirtualized (target cache, history) pairing,
+// BTB-only baseline, each instantiated (target cache, history) pairing,
 // and a cache outside the switch that lands on the interface-typed
 // fallback instantiation.
 func kernelConfigs() map[string]Config {
@@ -53,7 +53,7 @@ func kernelConfigs() map[string]Config {
 	}
 }
 
-// TestKernelMatchesGenericLoop pins the batched devirtualized accuracy
+// TestKernelMatchesGenericLoop pins the batched accuracy
 // kernel against the streaming reference loop: identical AccuracyResult,
 // field for field, for every dispatch arm, with and without periodic
 // flushes.
@@ -77,7 +77,7 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 }
 
 // BenchmarkRunAccuracy measures accuracy-simulation throughput over a
-// memoized replay (the batched devirtualized kernel) for the BTB-only
+// memoized replay (the batched kernel) for the BTB-only
 // baseline and a target-cache configuration, with the streaming reference
 // loop alongside for comparison.
 func BenchmarkRunAccuracy(b *testing.B) {

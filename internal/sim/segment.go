@@ -188,8 +188,8 @@ func mergeSegments(results []AccuracyResult) AccuracyResult {
 
 // runSegment builds a fresh engine, primes it over [0, start) and
 // simulates [start, end), dispatching over the engine's concrete types
-// exactly like runAccuracyEngine so prime and simulate devirtualize the
-// same instances.
+// exactly like runAccuracyEngine so prime and simulate run the same
+// kernel instantiation.
 func runSegment(ctx context.Context, bs trace.BlockSource, start, end int64, cfg Config) AccuracyResult {
 	engine := NewEngine(cfg)
 	switch tc := engine.TC.(type) {
