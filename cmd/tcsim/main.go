@@ -313,6 +313,9 @@ func run() int {
 	work := bench.SnapshotStats().Sub(before)
 
 	if !*quiet {
+		if work.MemoHits+work.MemoMisses > 0 {
+			fmt.Fprintf(os.Stderr, "tcsim: suite memo %d hits / %d misses\n", work.MemoHits, work.MemoMisses)
+		}
 		if segs := sim.SegmentCounters(); segs.SegmentedRuns > 0 {
 			fmt.Fprintf(os.Stderr, "tcsim: segmented %d runs into %d segments (%d warm-up instructions)\n",
 				segs.SegmentedRuns, segs.SegmentsExecuted, segs.WarmupInstructions)

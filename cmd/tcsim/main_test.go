@@ -128,3 +128,28 @@ func TestTimingFusionOutputIdentity(t *testing.T) {
 		t.Errorf("telemetry file not written: %v", err)
 	}
 }
+
+// TestResumeAfterPartialRunMatchesFreshRun records table1 in a manifest,
+// then resumes the whole suite from it: table1 is replayed, so every later
+// experiment misses in the suite memo where a fresh run would have hit
+// table1's simulations. The stdout must still equal a fresh run's.
+func TestResumeAfterPartialRunMatchesFreshRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the suite twice")
+	}
+	budgets := []string{"-n", "200000", "-t", "100000", "-quiet"}
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	run := func(args ...string) string {
+		t.Helper()
+		code, out, stderr := tcsim(t, append(args, budgets...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", args, code, stderr)
+		}
+		return out
+	}
+	run("-exp", "table1", "-resume", manifest)
+	resumed := run("-exp", "all", "-resume", manifest)
+	if fresh := run("-exp", "all"); resumed != fresh {
+		t.Error("-exp all resumed from a table1 manifest differs from a fresh -exp all")
+	}
+}

@@ -10,16 +10,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/history"
-	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Params control experiment scale. The defaults run every experiment in
@@ -60,9 +54,9 @@ type Params struct {
 	// cell identifies the simulation cell this Params copy was minted
 	// for; the cell scheduler sets it so kernels can attribute telemetry.
 	cell cellID
-	// fails, when non-nil, collects every CellError across experiments
-	// for the run-level exit digest.
-	fails *failureLog
+	// run, when non-nil, is the RunSuite call's shared state: the
+	// failure log for the exit digest and the simulation memo.
+	run *suiteRun
 	// segs is the segment count resolved by the cell scheduler for the
 	// current cell group (cellSegments applied to the queue length).
 	segs int
@@ -131,11 +125,28 @@ func (p Params) Context() context.Context {
 }
 
 // forExperiment returns a copy of p labelled with the experiment id and
-// wired to the run-level failure log.
-func (p Params) forExperiment(id string, fails *failureLog) Params {
+// wired to the suite run's failure log and memo.
+func (p Params) forExperiment(id string, run *suiteRun) Params {
 	p.experiment = id
-	p.fails = fails
+	p.run = run
 	return p
+}
+
+// failures is the suite run's failure log, nil outside RunSuite.
+func (p Params) failures() *failureLog {
+	if p.run == nil {
+		return nil
+	}
+	return &p.run.fails
+}
+
+// memo is the suite memo, nil outside RunSuite and whenever telemetry is
+// on: every cell must then fill its own collector, so every cell runs.
+func (p Params) memo() *simMemo {
+	if p.run == nil || p.Telemetry != nil {
+		return nil
+	}
+	return &p.run.memo
 }
 
 // forCell returns a copy of p minted for one simulation cell; telemetry
@@ -239,272 +250,50 @@ func ByID(id string) (*Experiment, error) {
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return stats.Percent(v) }
 
-// timingContext runs the BTB-only machine at most once per workload and
-// caches the result for the duration of one experiment. It is safe for
-// concurrent use by parallel cells: the first cell needing a workload's
-// baseline computes it under a per-workload once while later cells block
-// on the same once, so no work is duplicated.
-type timingContext struct {
-	p      Params
-	cpuCfg cpu.Config
+// ---- predictor points ----
+//
+// Every simulation cell names its predictor as a sweep.Point: plain data
+// that keys the suite memo and groups cells into gangs.
 
-	mu   sync.Mutex
-	base map[string]*baselineCell
+// btbPoint is the paper's baseline front end alone: a 1K-entry 4-way BTB.
+var btbPoint = sweep.Point{Family: "btb", Scheme: "default", Entries: 1024, Ways: 4}
+
+// btbTwoBitPoint is the baseline BTB under the 2-bit update strategy.
+var btbTwoBitPoint = sweep.Point{Family: "btb", Scheme: "2bit", Entries: 1024, Ways: 4}
+
+// taglessPoint is a 512-entry tagless target cache; histBits is the
+// history depth (and, for GAs, the history share of the index).
+func taglessPoint(scheme, hist string, histBits int) sweep.Point {
+	return sweep.Point{Family: "tagless", Scheme: scheme, History: hist, Entries: 512, HistBits: histBits}
 }
 
-type baselineCell struct {
-	once   sync.Once
-	cycles int64
-	err    error
+// gsharePoint is the paper's 512-entry tagless gshare cache over histBits
+// of pattern history.
+func gsharePoint(histBits int) sweep.Point { return taglessPoint("gshare", "pattern", histBits) }
+
+// taggedPoint is a 256-entry tagged target cache with full tags.
+func taggedPoint(scheme string, ways int, hist string, histBits int) sweep.Point {
+	return sweep.Point{Family: "tagged", Scheme: scheme, History: hist, Entries: 256, Ways: ways, HistBits: histBits}
 }
 
-func newTimingContext(p Params) *timingContext {
-	return &timingContext{p: p, base: make(map[string]*baselineCell), cpuCfg: cpu.DefaultConfig()}
-}
-
-// globalBaselines memoizes successful BTB-only baseline cycle counts across
-// experiments: the count is a pure function of the key, and several
-// experiments rerun the identical baseline machine on the identical
-// workload. The memo is consulted only when telemetry is disabled — with
-// telemetry on, every experiment must still run its own baseline so its
-// "btb-baseline" collector entry is populated. Failures are never stored,
-// so an injected fault in one experiment's baseline cell cannot leak into
-// another experiment.
-var globalBaselines sync.Map // baselineKey -> int64 cycles
-
-type baselineKey struct {
-	workload   string
-	budget     int64
-	eventModel bool
-	cpuCfg     cpu.Config
-}
-
-// run executes one timing simulation on the configured model: a width-1
-// runGang.
-func (tc *timingContext) run(w *workload.Workload, cfg sim.Config, col *telemetry.Collector) cpu.Result {
-	return tc.runGang(w, []sim.Config{cfg}, []*telemetry.Collector{col})[0]
-}
-
-// runGang executes one timing simulation per config, reading the
-// workload's memoized trace replay rather than a live VM. On the fast
-// model the configs run as one fused gang (cpu.RunReplayGang); the event
-// model runs them one by one. cols[i], when non-nil, receives config i's
-// telemetry (threaded through the engine so both timing models are
-// instrumented identically). Kernel errors (corrupt replay, cancellation,
-// deadlock guard) come back in Result.Err; callers decide whether to
-// abort their cell.
-func (tc *timingContext) runGang(w *workload.Workload, cfgs []sim.Config, cols []*telemetry.Collector) []cpu.Result {
-	rep := w.ReplayPrefix(tc.p.TimingBudget, tc.p.shareBudget())
-	ms := make([]*cpu.Machine, len(cfgs))
-	out := make([]cpu.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Telemetry = cols[i]
-		engine := sim.NewEngine(cfg)
-		if tc.p.EventModel {
-			out[i] = cpu.NewEvent(tc.cpuCfg, engine).RunCtx(tc.p.Context(), rep.Open(), tc.p.TimingBudget)
-		} else {
-			ms[i] = cpu.New(tc.cpuCfg, engine)
-		}
-	}
-	if !tc.p.EventModel {
-		out = cpu.RunReplayGang(tc.p.Context(), rep, tc.p.TimingBudget, ms)
-	}
-	for _, res := range out {
-		instructionsSim.Add(res.Instructions)
-	}
-	return out
-}
-
-func (tc *timingContext) baseline(w *workload.Workload) int64 {
-	var gkey baselineKey
-	if tc.p.Telemetry == nil {
-		gkey = baselineKey{
-			workload: w.Name, budget: tc.p.TimingBudget,
-			eventModel: tc.p.EventModel, cpuCfg: tc.cpuCfg,
-		}
-		if v, ok := globalBaselines.Load(gkey); ok {
-			return v.(int64)
-		}
-	}
-	tc.mu.Lock()
-	c, ok := tc.base[w.Name]
-	if !ok {
-		c = &baselineCell{}
-		tc.base[w.Name] = c
-	}
-	tc.mu.Unlock()
-	c.once.Do(func() {
-		// A panicking baseline must not leave later cells reading cycles=0
-		// as if it succeeded: capture the failure so every dependent cell
-		// aborts with it.
-		defer func() {
-			if v := recover(); v != nil {
-				c.err, _ = recoveredErr(v)
-			}
-		}()
-		// The baseline runs once per workload, inside whichever cell gets
-		// there first — so its telemetry is attributed under a fixed
-		// "btb-baseline" key rather than the racing cell's, keeping
-		// reports identical at any worker count.
-		col := tc.p.Telemetry.NewCollector()
-		defer tc.p.Telemetry.Merge(telemetry.Key{
-			Experiment: tc.p.experiment, Workload: w.Name, Config: "btb-baseline",
-		}, col)
-		res := tc.run(w, sim.DefaultConfig(), col)
-		if res.Err != nil {
-			c.err = res.Err
-			return
-		}
-		c.cycles = res.Cycles
-	})
-	if c.err != nil {
-		abortCell(fmt.Errorf("BTB baseline for %s: %w", w.Name, c.err))
-	}
-	if tc.p.Telemetry == nil {
-		globalBaselines.Store(gkey, c.cycles)
-	}
-	return c.cycles
-}
-
-// timingCell is one fused timing cell: the execution-time reduction of
-// cfg over the BTB-only baseline on w.
-type timingCell struct {
-	tc  *timingContext
-	w   *workload.Workload
-	cfg sim.Config
-	out *float64
-}
-
-// gangKey groups timing cells into gangs: same experiment and machine
-// (the timing context), same capture. Every timing cell uses the paper's
-// front end; should members ever disagree on it, cpu.RunReplayGang panics
-// and execGang reruns them alone.
-type gangKey struct {
-	tc       *timingContext
-	workload string
-}
-
-func (t *timingCell) key() gangKey { return gangKey{tc: t.tc, workload: t.w.Name} }
-
-// reduction enqueues a timing cell under id: the execution-time reduction
-// of cfg versus the BTB-only baseline on w. The scheduler runs it fused
-// with its gang siblings; the slot is filled as if it ran alone.
-func (tc *timingContext) reduction(g *cellGroup, id cellID, w *workload.Workload, cfg sim.Config) *slot[float64] {
-	s := &slot[float64]{}
-	g.cells = append(g.cells, groupCell{id: id, st: &s.cellStatus, timing: &timingCell{tc: tc, w: w, cfg: cfg, out: &s.val}})
-	return s
-}
-
-// execGang runs one gang of timing cells as one pool item. Each member
-// keeps a cell's contract: its own prologue (cancellation, test hook),
-// baseline, telemetry collector, instruction accounting and CellError.
-// A failure before the gang drops only that member. Should the fused run
-// itself panic, every member reruns alone, so a fault stays confined to
-// the member that causes it.
-func (g *cellGroup) execGang(cells []*groupCell) {
-	start := time.Now()
-	defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
-	tc, w := cells[0].timing.tc, cells[0].timing.w
-	var live []*groupCell
-	var bases []int64
-	for _, c := range cells {
-		var base int64
-		if g.guard(c, func() {
-			g.enter(c)
-			base = tc.baseline(w)
-		}) {
-			live = append(live, c)
-			bases = append(bases, base)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	cfgs := make([]sim.Config, len(live))
-	cols := make([]*telemetry.Collector, len(live))
-	for i, c := range live {
-		cfgs[i] = c.timing.cfg
-		cols[i] = g.p.forCell(c.id).startCollector()
-	}
-	results, fused := tryGang(tc, w, cfgs, cols)
-	for i, c := range live {
-		p := g.p.forCell(c.id)
-		g.guard(c, func() {
-			var res cpu.Result
-			if fused {
-				defer p.mergeCollector(cols[i])
-				res = results[i]
-			} else {
-				col := p.startCollector()
-				defer p.mergeCollector(col)
-				res = tc.run(w, cfgs[i], col)
-			}
-			if res.Err != nil {
-				abortCell(res.Err)
-			}
-			*c.timing.out = stats.Reduction(float64(bases[i]), float64(res.Cycles))
-		})
-	}
-}
-
-// tryGang runs the fused gang, reporting false when it panicked.
-func tryGang(tc *timingContext, w *workload.Workload, cfgs []sim.Config, cols []*telemetry.Collector) (results []cpu.Result, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return tc.runGang(w, cfgs, cols), true
-}
-
-// tcConfig builds a sim.Config with the given target cache and history
-// constructors.
-func tcConfig(newTC func() core.TargetCache, newHist func() history.Provider) sim.Config {
-	return sim.DefaultConfig().WithTargetCache(newTC, newHist)
-}
-
-// taglessGshare is the tagless target cache used throughout Tables 5-6.
-func taglessGshare(entries int) func() core.TargetCache {
-	return func() core.TargetCache {
-		return core.NewTagless(core.TaglessConfig{Entries: entries, Scheme: core.SchemeGshare})
-	}
-}
-
-// pattern returns a pattern-history constructor.
-func pattern(bits int) func() history.Provider {
-	return func() history.Provider { return history.NewPatternProvider(bits) }
-}
-
-// path returns a path-history constructor.
-func path(cfg history.PathConfig) func() history.Provider {
-	return func() history.Provider { return history.NewPath(cfg) }
+// ittagePoint is the paper-lineage ITTAGE predictor (core's default
+// geometry) over a 64-bit history of kind hist.
+func ittagePoint(hist string) sweep.Point {
+	return sweep.Point{Family: "ittage", History: hist, Stage1: 256, Entries: 128, Tables: 5, TagBits: 9, HistBits: 64}
 }
 
 // pathSchemes are the five path-history variants of Tables 5, 6 and 8,
-// in the paper's column order.
-func pathSchemes(bits, bitsPerTarget, addrBitOffset int) []struct {
-	Name string
-	Cfg  history.PathConfig
-} {
-	base := history.PathConfig{
-		Bits:          bits,
-		BitsPerTarget: bitsPerTarget,
-		AddrBitOffset: addrBitOffset,
-	}
-	mk := func(per bool, f history.PathFilter) history.PathConfig {
-		c := base
-		c.PerAddress = per
-		c.Filter = f
-		return c
-	}
-	return []struct {
-		Name string
-		Cfg  history.PathConfig
-	}{
-		{"per-addr", mk(true, 0)},
-		{"branch", mk(false, history.FilterBranch)},
-		{"control", mk(false, history.FilterControl)},
-		{"ind jmp", mk(false, history.FilterIndJmp)},
-		{"call/ret", mk(false, history.FilterCallRet)},
-	}
+// in the paper's column order: each names its history kind.
+var pathSchemes = []struct{ Name, History string }{
+	{"per-addr", "path-peraddr"},
+	{"branch", "path-branch"},
+	{"control", "path-control"},
+	{"ind jmp", "path-indjmp"},
+	{"call/ret", "path-callret"},
+}
+
+// withPath sets a path-history point's bits per target and address bit.
+func withPath(pt sweep.Point, bitsPerTarget, addrBit int) sweep.Point {
+	pt.PathBitsPerTarget, pt.PathAddrBit = bitsPerTarget, addrBit
+	return pt
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -73,10 +75,22 @@ type slot[T any] struct {
 type groupCell struct {
 	id cellID
 	st *cellStatus
-	fn func(Params)
-	// timing, when non-nil, marks a fused timing cell: run schedules it
-	// in a gang with its siblings instead of calling fn.
-	timing *timingCell
+	// Exactly one of fn and sim is set: fn is a closure cell, run as
+	// written; sim is a data-only simulation cell, which the planner may
+	// fuse with its siblings or serve from the suite memo.
+	fn  func(Params)
+	sim *simCell
+}
+
+// simCell is a data-only cell: one simulation request and, for
+// execution-time reductions, the BTB-only baseline it is measured
+// against. fill reduces the finished results into the cell's slot.
+type simCell struct {
+	req  request
+	base *request
+	fill func(res, base *simResult)
+
+	m, dep *member // resolved by plan
 }
 
 type cellGroup struct {
@@ -106,6 +120,69 @@ func cell[T any](g *cellGroup, id cellID, fn func(Params) T) *slot[T] {
 	s := &slot[T]{}
 	g.cells = append(g.cells, groupCell{id: id, st: &s.cellStatus, fn: func(p Params) { s.val = fn(p) }})
 	return s
+}
+
+// simCellOf enqueues a data-only cell under id.
+func (g *cellGroup) simCellOf(id cellID, st *cellStatus, sc *simCell) {
+	g.cells = append(g.cells, groupCell{id: id, st: st, sim: sc})
+}
+
+// accuracyCell enqueues the accuracy simulation of pt on w under id; f
+// reduces the result into the returned slot.
+func accuracyCell[T any](g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point, f func(sim.AccuracyResult) T) *slot[T] {
+	s := &slot[T]{}
+	g.simCellOf(id, &s.cellStatus, &simCell{
+		req:  accuracyRequest(w, pt),
+		fill: func(r, _ *simResult) { s.val = f(r.acc) },
+	})
+	return s
+}
+
+// mispredictCell enqueues an accuracy cell reporting pt's indirect-jump
+// misprediction rate on w.
+func mispredictCell(g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point) *slot[float64] {
+	return accuracyCell(g, id, w, pt, sim.AccuracyResult.IndirectMispredictRate)
+}
+
+// timingCell enqueues the simulation of pt on w through the fast timing
+// model on machine mc, whatever Params.EventModel says: only the fast
+// model reports misprediction stall cycles.
+func timingCell(g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point, mc cpu.Config) *slot[cpu.Result] {
+	s := &slot[cpu.Result]{}
+	g.simCellOf(id, &s.cellStatus, &simCell{
+		req:  timingRequest(w, pt, mc, false),
+		fill: func(r, _ *simResult) { s.val = r.cpu },
+	})
+	return s
+}
+
+// reductionCell enqueues the execution-time reduction of pt over the
+// BTB-only baseline on w, both on the paper's machine and the configured
+// timing model.
+func reductionCell(g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point) *slot[float64] {
+	s := &slot[float64]{}
+	base := baselineRequest(g, w)
+	g.simCellOf(id, &s.cellStatus, &simCell{
+		req:  timingRequest(w, pt, cpu.DefaultConfig(), g.p.EventModel),
+		base: &base,
+		fill: func(r, b *simResult) { s.val = stats.Reduction(float64(b.cpu.Cycles), float64(r.cpu.Cycles)) },
+	})
+	return s
+}
+
+// warmBaselines enqueues one cell per workload that runs the BTB-only
+// timing baseline. It owns the baseline's telemetry ("btb-baseline") and
+// puts the baseline first in its workload's first gang, where every
+// reduction cell finds it.
+func warmBaselines(g *cellGroup, ws []*workload.Workload) {
+	for _, w := range ws {
+		g.simCellOf(cid(w, "btb-baseline"), &cellStatus{}, &simCell{req: baselineRequest(g, w)})
+	}
+}
+
+// baselineRequest is the BTB-only timing run reductions divide by.
+func baselineRequest(g *cellGroup, w *workload.Workload) request {
+	return timingRequest(w, btbPoint, cpu.DefaultConfig(), g.p.EventModel)
 }
 
 // guard runs body on behalf of cell c, converting a panic or an abortCell
@@ -147,10 +224,8 @@ func (g *cellGroup) enter(c *groupCell) {
 	}
 }
 
-// exec runs one unfused cell.
+// exec runs one closure cell.
 func (g *cellGroup) exec(c *groupCell) {
-	start := time.Now()
-	defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
 	g.guard(c, func() {
 		g.enter(c)
 		c.fn(g.p.forCell(c.id))
@@ -172,10 +247,12 @@ func (g *cellGroup) run() {
 	g.p.segs = g.p.cellSegments(len(cells))
 	items := g.plan(cells)
 	pool.Run(g.workers, len(items), func(i int) {
-		if item := items[i]; item[0].timing == nil {
-			g.exec(item[0])
+		start := time.Now()
+		defer func() { g.p.Telemetry.AddBusy(time.Since(start)) }()
+		if it := items[i]; it.fn != nil {
+			g.exec(it.fn)
 		} else {
-			g.execGang(item)
+			g.execItem(it)
 		}
 	})
 	for i := range cells {
@@ -183,49 +260,7 @@ func (g *cellGroup) run() {
 			g.errs = append(g.errs, ce)
 		}
 	}
-	if g.p.fails != nil {
-		g.p.fails.add(g.errs...)
-	}
-}
-
-// maxGangWidth caps a timing gang: 16 members' pipeline state (~2 MB)
-// still fits a worker's share of cache.
-const maxGangWidth = 16
-
-// plan cuts the queue into pool items. An unfused cell is its own item.
-// Timing cells are grouped by gang key (timing context, workload), and
-// each group of K is split evenly into gangs of width
-// min(16, ceil(K/workers)) — one gang per worker when that fits — placed
-// where the group's first cell was enqueued. The event model never fuses.
-func (g *cellGroup) plan(cells []groupCell) [][]*groupCell {
-	groups := make(map[gangKey][]*groupCell)
-	for i := range cells {
-		if t := cells[i].timing; t != nil {
-			groups[t.key()] = append(groups[t.key()], &cells[i])
-		}
-	}
-	var items [][]*groupCell
-	for i := range cells {
-		c := &cells[i]
-		if c.timing == nil {
-			items = append(items, []*groupCell{c})
-			continue
-		}
-		members, ok := groups[c.timing.key()]
-		if !ok {
-			continue // the group was placed at its first cell
-		}
-		delete(groups, c.timing.key())
-		width := 1
-		if !g.p.EventModel {
-			width = min(maxGangWidth, (len(members)+g.workers-1)/g.workers)
-		}
-		gangs := (len(members) + width - 1) / width
-		for j := 0; j < gangs; j++ {
-			items = append(items, members[j*len(members)/gangs:(j+1)*len(members)/gangs])
-		}
-	}
-	return items
+	g.p.failures().add(g.errs...)
 }
 
 // finish appends the experiment's failure footer (as notes on the last
@@ -276,65 +311,104 @@ type RunStats struct {
 	// Cells is the number of simulation cells executed.
 	Cells int64
 	// Instructions is the number of instructions pushed through the
-	// accuracy and timing simulators.
+	// accuracy and timing simulators. Results served from the suite
+	// memo add nothing.
 	Instructions int64
+	// MemoHits counts simulation requests served from the suite memo;
+	// MemoMisses counts those simulated while a memo was active.
+	MemoHits, MemoMisses int64
 }
 
 // SnapshotStats returns the current counter values.
 func SnapshotStats() RunStats {
-	return RunStats{Cells: cellsExecuted.Load(), Instructions: instructionsSim.Load()}
+	return RunStats{
+		Cells: cellsExecuted.Load(), Instructions: instructionsSim.Load(),
+		MemoHits: memoHits.Load(), MemoMisses: memoMisses.Load(),
+	}
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
 func (s RunStats) Sub(earlier RunStats) RunStats {
-	return RunStats{Cells: s.Cells - earlier.Cells, Instructions: s.Instructions - earlier.Instructions}
+	return RunStats{
+		Cells:        s.Cells - earlier.Cells,
+		Instructions: s.Instructions - earlier.Instructions,
+		MemoHits:     s.MemoHits - earlier.MemoHits,
+		MemoMisses:   s.MemoMisses - earlier.MemoMisses,
+	}
 }
 
 // ---- replay-backed simulation kernels ----
 //
-// All experiment cells go through these wrappers: they swap the live VM for
-// the workload's memoized trace replay (so the VM runs at most once per
-// (workload, budget) key across the whole suite), account simulated
-// instructions, and abort the cell on kernel errors (corrupt replay,
-// cancellation) so the failure lands in the cell's slot rather than
-// propagating garbage into rendered tables.
+// Closure cells go through these wrappers: they read the workload's
+// memoized trace replay (so the VM runs at most once per (workload,
+// budget) key across the whole suite), account simulated instructions,
+// and abort the cell on kernel errors (corrupt replay, cancellation) so
+// the failure lands in the cell's slot rather than propagating garbage
+// into rendered tables.
 
-// runAccuracy is sim.RunAccuracy over the memoized replay, segmented
-// across spare workers when the cell scheduler resolved a split (with
-// telemetry enabled the kernel falls back to the plain path itself).
-func runAccuracy(w *workload.Workload, p Params, cfg sim.Config) sim.AccuracyResult {
+// runAccuracy is the accuracy simulation of pt on w for a closure cell,
+// served from the suite memo when one is active.
+func runAccuracy(w *workload.Workload, p Params, pt sweep.Point) sim.AccuracyResult {
+	return p.simulateInline(accuracyRequest(w, pt)).acc
+}
+
+// simulateInline runs req for the calling closure cell. With a suite memo
+// it waits on, or reuses, any other caller's run of the same request.
+func (p Params) simulateInline(req request) simResult {
+	memo := p.memo()
+	var e *memoEntry
+	k := req.key(p)
+	if memo != nil {
+		var owner bool
+		if e, owner = memo.acquire(k); !owner {
+			return e.res
+		}
+		memoMisses.Add(1)
+		defer func() {
+			if e != nil { // the run panicked before settling
+				memo.settle(k, e, nil, false)
+			}
+		}()
+	}
 	col := p.startCollector()
 	defer p.mergeCollector(col)
-	cfg.Telemetry = col
-	res := sim.RunAccuracySegmentedCtx(p.Context(), w.ReplayPrefix(p.AccuracyBudget, p.shareBudget()), p.AccuracyBudget, p.segs, cfg)
-	instructionsSim.Add(res.Instructions)
-	if res.Err != nil {
-		abortCell(res.Err)
+	res := p.solo(req, col)
+	instructionsSim.Add(res.instructions())
+	if e != nil {
+		memo.settle(k, e, &res, res.err() == nil)
+		e = nil
+	}
+	if err := res.err(); err != nil {
+		abortCell(err)
 	}
 	return res
 }
 
-// runAccuracyFlushes is sim.RunAccuracyWithFlushes over the memoized
-// replay.
-func runAccuracyFlushes(w *workload.Workload, p Params, interval int64, cfg sim.Config) sim.AccuracyResult {
+// solo runs one request alone: accuracy through the segmented kernel,
+// timing through the configured model. col, when non-nil, receives the
+// run's telemetry.
+func (p Params) solo(req request, col *telemetry.Collector) simResult {
+	cfg := configOf(req.point).Config
+	cfg.Telemetry = col
+	if !req.timing {
+		rep := req.w.ReplayPrefix(p.AccuracyBudget, p.shareBudget())
+		return simResult{acc: sim.RunAccuracySegmentedCtx(p.Context(), rep, p.AccuracyBudget, p.segs, cfg)}
+	}
+	rep := req.w.ReplayPrefix(p.TimingBudget, p.shareBudget())
+	if req.event {
+		return simResult{cpu: cpu.NewEvent(req.machine, sim.NewEngine(cfg)).RunCtx(p.Context(), rep.Open(), p.TimingBudget)}
+	}
+	return simResult{cpu: cpu.New(req.machine, sim.NewEngine(cfg)).RunReplayCtx(p.Context(), rep, p.TimingBudget)}
+}
+
+// runAccuracyFlushes is sim.RunAccuracyWithFlushes of pt over the
+// memoized replay.
+func runAccuracyFlushes(w *workload.Workload, p Params, interval int64, pt sweep.Point) sim.AccuracyResult {
 	col := p.startCollector()
 	defer p.mergeCollector(col)
+	cfg := configOf(pt).Config
 	cfg.Telemetry = col
 	res := sim.RunAccuracyWithFlushesCtx(p.Context(), w.ReplayPrefix(p.AccuracyBudget, p.shareBudget()), p.AccuracyBudget, interval, cfg)
-	instructionsSim.Add(res.Instructions)
-	if res.Err != nil {
-		abortCell(res.Err)
-	}
-	return res
-}
-
-// runTiming is the fast one-pass timing model over the memoized replay
-// with an explicit machine configuration.
-func runTiming(w *workload.Workload, p Params, cfg sim.Config, mc cpu.Config) cpu.Result {
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	cfg.Telemetry = col
-	res := cpu.New(mc, sim.NewEngine(cfg)).RunReplayCtx(p.Context(), w.ReplayPrefix(p.TimingBudget, p.shareBudget()), p.TimingBudget)
 	instructionsSim.Add(res.Instructions)
 	if res.Err != nil {
 		abortCell(res.Err)

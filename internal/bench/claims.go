@@ -3,11 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/btb"
-	"repro/internal/core"
-	"repro/internal/history"
-	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -25,10 +22,10 @@ type Claim struct {
 	Check func(p Params) (string, bool)
 }
 
-// mispredict measures the indirect misprediction rate of cfg on w over
+// mispredict measures the indirect misprediction rate of pt on w over
 // the memoized trace replay.
-func mispredict(w *workload.Workload, p Params, cfg sim.Config) float64 {
-	return runAccuracy(w, p, cfg).IndirectMispredictRate()
+func mispredict(w *workload.Workload, p Params, pt sweep.Point) float64 {
+	return runAccuracy(w, p, pt).IndirectMispredictRate()
 }
 
 func mustWorkload(name string) *workload.Workload {
@@ -39,28 +36,6 @@ func mustWorkload(name string) *workload.Workload {
 	return w
 }
 
-func taglessCfg(scheme core.TaglessScheme, histBits, addrBits int) sim.Config {
-	return tcConfig(func() core.TargetCache {
-		return core.NewTagless(core.TaglessConfig{
-			Entries: 512, Scheme: scheme, HistBits: histBits, AddrBits: addrBits,
-		})
-	}, pattern(9))
-}
-
-func taggedCfgN(scheme core.TaggedScheme, ways, histBits int) sim.Config {
-	return tcConfig(func() core.TargetCache {
-		return core.NewTagged(core.TaggedConfig{
-			Entries: 256, Ways: ways, Scheme: scheme, HistBits: histBits,
-		})
-	}, pattern(histBits))
-}
-
-func pathCfg(filter history.PathFilter) sim.Config {
-	return tcConfig(taglessGshare(512), path(history.PathConfig{
-		Bits: 9, BitsPerTarget: 1, AddrBitOffset: 2, Filter: filter,
-	}))
-}
-
 // Claims returns the paper's checkable findings.
 func Claims() []Claim {
 	return []Claim{
@@ -68,8 +43,8 @@ func Claims() []Claim {
 			ID:        1,
 			Statement: "BTBs mispredict indirect jumps badly on indirect-heavy benchmarks (perl, gcc)",
 			Check: func(p Params) (string, bool) {
-				perl := mispredict(mustWorkload("perl"), p, sim.DefaultConfig())
-				gcc := mispredict(mustWorkload("gcc"), p, sim.DefaultConfig())
+				perl := mispredict(mustWorkload("perl"), p, btbPoint)
+				gcc := mispredict(mustWorkload("gcc"), p, btbPoint)
 				return fmt.Sprintf("perl %.1f%%, gcc %.1f%%", 100*perl, 100*gcc),
 					perl > 0.5 && gcc > 0.4
 			},
@@ -80,10 +55,8 @@ func Claims() []Claim {
 			Check: func(p Params) (string, bool) {
 				helps, hurts := 0, 0
 				for _, w := range workload.All() {
-					def := mispredict(w, p, sim.DefaultConfig())
-					cfg := sim.DefaultConfig()
-					cfg.BTB.Strategy = btb.StrategyTwoBit
-					two := mispredict(w, p, cfg)
+					def := mispredict(w, p, btbPoint)
+					two := mispredict(w, p, btbTwoBitPoint)
 					if two < def {
 						helps++
 					} else if two > def {
@@ -93,11 +66,9 @@ func Claims() []Claim {
 				tcWins := true
 				for _, name := range []string{"perl", "gcc"} {
 					w := mustWorkload(name)
-					def := mispredict(w, p, sim.DefaultConfig())
-					cfg := sim.DefaultConfig()
-					cfg.BTB.Strategy = btb.StrategyTwoBit
-					two := mispredict(w, p, cfg)
-					tc := mispredict(w, p, tcConfig(taglessGshare(512), pattern(9)))
+					def := mispredict(w, p, btbPoint)
+					two := mispredict(w, p, btbTwoBitPoint)
+					tc := mispredict(w, p, gsharePoint(9))
 					if tc >= def || tc >= two {
 						tcWins = false
 					}
@@ -114,9 +85,9 @@ func Claims() []Claim {
 				var msg string
 				for _, name := range []string{"perl", "gcc"} {
 					w := mustWorkload(name)
-					gshare := mispredict(w, p, taglessCfg(core.SchemeGshare, 0, 0))
-					gag := mispredict(w, p, taglessCfg(core.SchemeGAg, 0, 0))
-					gas := mispredict(w, p, taglessCfg(core.SchemeGAs, 8, 1))
+					gshare := mispredict(w, p, gsharePoint(9))
+					gag := mispredict(w, p, taglessPoint("gag", "pattern", 9))
+					gas := mispredict(w, p, taglessPoint("gas", "pattern", 8))
 					if gshare > gag+0.01 || gshare > gas+0.01 {
 						ok = false
 					}
@@ -132,10 +103,10 @@ func Claims() []Claim {
 			Check: func(p Params) (string, bool) {
 				perl := mustWorkload("perl")
 				gcc := mustWorkload("gcc")
-				perlPat := mispredict(perl, p, tcConfig(taglessGshare(512), pattern(9)))
-				perlPath := mispredict(perl, p, pathCfg(history.FilterIndJmp))
-				gccPat := mispredict(gcc, p, tcConfig(taglessGshare(512), pattern(9)))
-				gccPath := mispredict(gcc, p, pathCfg(history.FilterIndJmp))
+				perlPat := mispredict(perl, p, gsharePoint(9))
+				perlPath := mispredict(perl, p, taglessPoint("gshare", "path-indjmp", 9))
+				gccPat := mispredict(gcc, p, gsharePoint(9))
+				gccPath := mispredict(gcc, p, taglessPoint("gshare", "path-indjmp", 9))
 				return fmt.Sprintf("perl pat %.1f%% path %.1f%%; gcc pat %.1f%% path %.1f%%",
 						100*perlPat, 100*perlPath, 100*gccPat, 100*gccPath),
 					perlPath < perlPat && gccPat < gccPath
@@ -146,12 +117,9 @@ func Claims() []Claim {
 			Statement: "lower target-address bits carry more path information than higher bits",
 			Check: func(p Params) (string, bool) {
 				w := mustWorkload("gcc")
-				low := mispredict(w, p, tcConfig(taglessGshare(512), path(history.PathConfig{
-					Bits: 9, BitsPerTarget: 1, AddrBitOffset: 2, Filter: history.FilterBranch,
-				})))
-				high := mispredict(w, p, tcConfig(taglessGshare(512), path(history.PathConfig{
-					Bits: 9, BitsPerTarget: 1, AddrBitOffset: 12, Filter: history.FilterBranch,
-				})))
+				branchPath := taglessPoint("gshare", "path-branch", 9)
+				low := mispredict(w, p, withPath(branchPath, 1, 2))
+				high := mispredict(w, p, withPath(branchPath, 1, 12))
 				return fmt.Sprintf("gcc branch-path: bit2 %.1f%% vs bit12 %.1f%%",
 					100*low, 100*high), low < high
 			},
@@ -161,8 +129,8 @@ func Claims() []Claim {
 			Statement: "Address-indexed tagged caches need associativity; History-XOR works direct-mapped",
 			Check: func(p Params) (string, bool) {
 				w := mustWorkload("perl")
-				addr1 := mispredict(w, p, taggedCfgN(core.SchemeAddress, 1, 9))
-				xor1 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
+				addr1 := mispredict(w, p, taggedPoint("addr", 1, "pattern", 9))
+				xor1 := mispredict(w, p, taggedPoint("xor", 1, "pattern", 9))
 				return fmt.Sprintf("perl 1-way: Addr %.1f%% vs Xor %.1f%%",
 					100*addr1, 100*xor1), xor1+0.05 < addr1
 			},
@@ -172,10 +140,10 @@ func Claims() []Claim {
 			Statement: "longer history helps high-associativity tagged caches and hurts low-associativity ones (gcc)",
 			Check: func(p Params) (string, bool) {
 				w := mustWorkload("gcc")
-				lo9 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
-				lo16 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 16))
-				hi9 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 32, 9))
-				hi16 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 32, 16))
+				lo9 := mispredict(w, p, taggedPoint("xor", 1, "pattern", 9))
+				lo16 := mispredict(w, p, taggedPoint("xor", 1, "pattern", 16))
+				hi9 := mispredict(w, p, taggedPoint("xor", 32, "pattern", 9))
+				hi16 := mispredict(w, p, taggedPoint("xor", 32, "pattern", 16))
 				return fmt.Sprintf("1-way: 9b %.1f%% vs 16b %.1f%%; 32-way: 9b %.1f%% vs 16b %.1f%%",
 						100*lo9, 100*lo16, 100*hi9, 100*hi16),
 					lo16 > lo9-0.02 && hi16 < hi9
@@ -186,9 +154,9 @@ func Claims() []Claim {
 			Statement: "tagless beats low-associativity tagged; tagged with >=4 ways is at least competitive",
 			Check: func(p Params) (string, bool) {
 				w := mustWorkload("perl")
-				tagless := mispredict(w, p, tcConfig(taglessGshare(512), pattern(9)))
-				tag1 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 1, 9))
-				tag8 := mispredict(w, p, taggedCfgN(core.SchemeHistoryXor, 8, 9))
+				tagless := mispredict(w, p, gsharePoint(9))
+				tag1 := mispredict(w, p, taggedPoint("xor", 1, "pattern", 9))
+				tag8 := mispredict(w, p, taggedPoint("xor", 8, "pattern", 9))
 				return fmt.Sprintf("perl: tagless %.1f%%, tagged 1-way %.1f%%, tagged 8-way %.1f%%",
 						100*tagless, 100*tag1, 100*tag8),
 					tagless < tag1 && tag8 <= tagless+0.01

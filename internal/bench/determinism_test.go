@@ -66,6 +66,25 @@ func TestEventModelMatchesFastOnOrderings(t *testing.T) {
 	}
 }
 
+// TestSensitivityRunsTheFastModel: sensitivity reports misprediction
+// stall cycles, which only the fast timing model measures, so switching
+// the other timing experiments to the event model must not change it.
+func TestSensitivityRunsTheFastModel(t *testing.T) {
+	e, err := ByID("sensitivity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{AccuracyBudget: 60_000, TimingBudget: 40_000}
+	fast := e.Run(p)
+	p.EventModel = true
+	event := e.Run(p)
+	for i := range fast {
+		if fast[i].String() != event[i].String() {
+			t.Errorf("table %d differs under the event model:\n%s\nwant:\n%s", i, event[i], fast[i])
+		}
+	}
+}
+
 func mustParse(t *testing.T, cell string, v *float64) {
 	t.Helper()
 	if _, err := fmtSscanf(cell, v); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -35,7 +36,7 @@ var table1 = registerExperiment(&Experiment{
 		for i, w := range ws {
 			cells[i] = cell(g, cid(w, "btb"), func(p Params) t1cell {
 				return t1cell{
-					res:    runAccuracy(w, p, sim.DefaultConfig()),
+					res:    runAccuracy(w, p, btbPoint),
 					static: runTraceStats(w, p).StaticIndJumps(),
 				}
 			})
@@ -131,14 +132,8 @@ var table2 = registerExperiment(&Experiment{
 		defs := make([]*slot[float64], len(ws))
 		twos := make([]*slot[float64], len(ws))
 		for i, w := range ws {
-			defs[i] = cell(g, cid(w, "btb-default"), func(p Params) float64 {
-				return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-			})
-			twos[i] = cell(g, cid(w, "btb-2bit"), func(p Params) float64 {
-				cfg := sim.DefaultConfig()
-				cfg.BTB.Strategy = btb.StrategyTwoBit
-				return runAccuracy(w, p, cfg).IndirectMispredictRate()
-			})
+			defs[i] = mispredictCell(g, cid(w, "btb-default"), w, btbPoint)
+			twos[i] = mispredictCell(g, cid(w, "btb-2bit"), w, btbTwoBitPoint)
 		}
 		g.run()
 		t := stats.NewTable(
@@ -175,36 +170,32 @@ var table4 = registerExperiment(&Experiment{
 	ID:    "table4",
 	Title: "Table 4: pattern-history tagless target caches (512 entries)",
 	Run: func(p Params) []*stats.Table {
-		configs := []core.TaglessConfig{
-			{Entries: 512, Scheme: core.SchemeGAg},
-			{Entries: 512, Scheme: core.SchemeGAs, HistBits: 8, AddrBits: 1},
-			{Entries: 512, Scheme: core.SchemeGAs, HistBits: 7, AddrBits: 2},
-			{Entries: 512, Scheme: core.SchemeGshare},
+		// GAs(h,a) splits the 9-bit index into h history and a address
+		// bits; the other schemes hash all 9 history bits.
+		configs := []struct {
+			name string
+			pt   sweep.Point
+		}{
+			{"GAg(9)", taglessPoint("gag", "pattern", 9)},
+			{"GAs(8,1)", taglessPoint("gas", "pattern", 8)},
+			{"GAs(7,2)", taglessPoint("gas", "pattern", 7)},
+			{"gshare", gsharePoint(9)},
 		}
 		ws := workload.PerlGcc()
 		g := newCellGroup(p)
 		rates := make([][]*slot[float64], len(configs))
-		for i, tcCfg := range configs {
+		for i, c := range configs {
 			rates[i] = make([]*slot[float64], len(ws))
 			for j, w := range ws {
-				rates[i][j] = cell(g, cid(w, tcCfg.Name()), func(p Params) float64 {
-					histBits := 9
-					if tcCfg.Scheme == core.SchemeGAs {
-						histBits = tcCfg.HistBits
-					}
-					cfg := tcConfig(
-						func() core.TargetCache { return core.NewTagless(tcCfg) },
-						pattern(histBits))
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+				rates[i][j] = mispredictCell(g, cid(w, c.name), w, c.pt)
 			}
 		}
 		g.run()
 		t := stats.NewTable(
 			"Table 4: indirect-jump misprediction rate, 512-entry tagless target caches",
 			"Scheme", "perl", "gcc")
-		for i, tcCfg := range configs {
-			row := []string{tcCfg.Name()}
+		for i, c := range configs {
+			row := []string{c.name}
 			// The table's column order is perl, gcc but PerlGcc returns
 			// perl first already.
 			for j := range ws {
@@ -217,31 +208,22 @@ var table4 = registerExperiment(&Experiment{
 	},
 })
 
-// warmBaselines enqueues one cell per workload that computes the BTB-only
-// timing baseline, so reduction cells spend no pool time blocked on it.
-func warmBaselines(g *cellGroup, tctx *timingContext, ws []*workload.Workload) {
-	for _, w := range ws {
-		g.do(cid(w, "btb-baseline"), func(Params) { tctx.baseline(w) })
-	}
-}
-
 // Table 5: which target-address bits feed the path history register.
 var table5 = registerExperiment(&Experiment{
 	ID:    "table5",
 	Title: "Table 5: path history — address bit selection (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
 		ws := workload.PerlGcc()
 		offsets := []int{2, 3, 4, 5, 6, 8, 12}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		reds := make([][][]*slot[float64], len(ws))
 		for i, w := range ws {
 			reds[i] = make([][]*slot[float64], len(offsets))
 			for j, offset := range offsets {
-				for _, s := range pathSchemes(9, 1, offset) {
-					cfg := tcConfig(taglessGshare(512), path(s.Cfg))
-					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("bit%d/%s", offset, s.Name)), w, cfg))
+				for _, s := range pathSchemes {
+					pt := withPath(taglessPoint("gshare", s.History, 9), 1, offset)
+					reds[i][j] = append(reds[i][j], reductionCell(g, cid(w, fmt.Sprintf("bit%d/%s", offset, s.Name)), w, pt))
 				}
 			}
 		}
@@ -270,18 +252,17 @@ var table6 = registerExperiment(&Experiment{
 	ID:    "table6",
 	Title: "Table 6: path history — address bits per branch (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
 		ws := workload.PerlGcc()
 		bitCounts := []int{1, 2, 3}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		reds := make([][][]*slot[float64], len(ws))
 		for i, w := range ws {
 			reds[i] = make([][]*slot[float64], len(bitCounts))
 			for j, bits := range bitCounts {
-				for _, s := range pathSchemes(9, bits, 2) {
-					cfg := tcConfig(taglessGshare(512), path(s.Cfg))
-					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dbit/%s", bits, s.Name)), w, cfg))
+				for _, s := range pathSchemes {
+					pt := withPath(taglessPoint("gshare", s.History, 9), bits, 2)
+					reds[i][j] = append(reds[i][j], reductionCell(g, cid(w, fmt.Sprintf("%dbit/%s", bits, s.Name)), w, pt))
 				}
 			}
 		}
@@ -310,25 +291,23 @@ var table7 = registerExperiment(&Experiment{
 	ID:    "table7",
 	Title: "Table 7: tagged target cache indexing schemes (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
-		schemes := []core.TaggedScheme{
-			core.SchemeAddress, core.SchemeHistoryConcat, core.SchemeHistoryXor,
+		schemes := []struct {
+			id   core.TaggedScheme
+			name string
+		}{
+			{core.SchemeAddress, "addr"}, {core.SchemeHistoryConcat, "concat"}, {core.SchemeHistoryXor, "xor"},
 		}
 		ws := workload.PerlGcc()
 		wayCounts := []int{1, 2, 4, 8, 16, 32, 64}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		reds := make([][][]*slot[float64], len(ws))
 		for i, w := range ws {
 			reds[i] = make([][]*slot[float64], len(wayCounts))
 			for j, ways := range wayCounts {
 				for _, scheme := range schemes {
-					cfg := tcConfig(func() core.TargetCache {
-						return core.NewTagged(core.TaggedConfig{
-							Entries: 256, Ways: ways, Scheme: scheme, HistBits: 9,
-						})
-					}, pattern(9))
-					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/scheme%d", ways, scheme)), w, cfg))
+					pt := taggedPoint(scheme.name, ways, "pattern", 9)
+					reds[i][j] = append(reds[i][j], reductionCell(g, cid(w, fmt.Sprintf("%dway/scheme%d", ways, scheme.id)), w, pt))
 				}
 			}
 		}
@@ -357,22 +336,17 @@ var table8 = registerExperiment(&Experiment{
 	ID:    "table8",
 	Title: "Table 8: tagged target caches with 9 path history bits (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
 		ws := workload.PerlGcc()
 		wayCounts := []int{1, 2, 4, 8, 16}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		reds := make([][][]*slot[float64], len(ws))
 		for i, w := range ws {
 			reds[i] = make([][]*slot[float64], len(wayCounts))
 			for j, ways := range wayCounts {
-				for _, s := range pathSchemes(9, 1, 2) {
-					cfg := tcConfig(func() core.TargetCache {
-						return core.NewTagged(core.TaggedConfig{
-							Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: 9,
-						})
-					}, path(s.Cfg))
-					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/%s", ways, s.Name)), w, cfg))
+				for _, s := range pathSchemes {
+					pt := taggedPoint("xor", ways, s.History, 9)
+					reds[i][j] = append(reds[i][j], reductionCell(g, cid(w, fmt.Sprintf("%dway/%s", ways, s.Name)), w, pt))
 				}
 			}
 		}
@@ -401,23 +375,18 @@ var table9 = registerExperiment(&Experiment{
 	ID:    "table9",
 	Title: "Table 9: tagged target cache, 9 vs 16 pattern history bits (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
 		ws := workload.PerlGcc()
 		wayCounts := []int{1, 2, 4, 8, 16, 32}
 		histBits := []int{9, 16}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		reds := make([][][]*slot[float64], len(ws))
 		for i, w := range ws {
 			reds[i] = make([][]*slot[float64], len(wayCounts))
 			for j, ways := range wayCounts {
 				for _, bits := range histBits {
-					cfg := tcConfig(func() core.TargetCache {
-						return core.NewTagged(core.TaggedConfig{
-							Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: bits,
-						})
-					}, pattern(bits))
-					reds[i][j] = append(reds[i][j], tctx.reduction(g, cid(w, fmt.Sprintf("%dway/%dbits", ways, bits)), w, cfg))
+					pt := taggedPoint("xor", ways, "pattern", bits)
+					reds[i][j] = append(reds[i][j], reductionCell(g, cid(w, fmt.Sprintf("%dway/%dbits", ways, bits)), w, pt))
 				}
 			}
 		}
@@ -447,23 +416,17 @@ var figures12and13 = registerExperiment(&Experiment{
 	ID:    "figures12-13",
 	Title: "Figures 12-13: tagged vs tagless target cache (execution-time reduction)",
 	Run: func(p Params) []*stats.Table {
-		tctx := newTimingContext(p)
 		ws := workload.PerlGcc()
 		wayCounts := []int{1, 2, 4, 8, 16}
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, ws)
+		warmBaselines(g, ws)
 		taglessReds := make([]*slot[float64], len(ws))
 		taggedReds := make([][]*slot[float64], len(ws))
 		for i, w := range ws {
-			taglessReds[i] = tctx.reduction(g, cid(w, "tagless-512"), w, tcConfig(taglessGshare(512), pattern(9)))
+			taglessReds[i] = reductionCell(g, cid(w, "tagless-512"), w, gsharePoint(9))
 			taggedReds[i] = make([]*slot[float64], len(wayCounts))
 			for j, ways := range wayCounts {
-				cfg := tcConfig(func() core.TargetCache {
-					return core.NewTagged(core.TaggedConfig{
-						Entries: 256, Ways: ways, Scheme: core.SchemeHistoryXor, HistBits: 9,
-					})
-				}, pattern(9))
-				taggedReds[i][j] = tctx.reduction(g, cid(w, fmt.Sprintf("tagged-256/%dway", ways)), w, cfg)
+				taggedReds[i][j] = reductionCell(g, cid(w, fmt.Sprintf("tagged-256/%dway", ways)), w, taggedPoint("xor", ways, "pattern", 9))
 			}
 		}
 		g.run()
@@ -519,10 +482,7 @@ var ablationHistLen = registerExperiment(&Experiment{
 		for i, bits := range bitCounts {
 			rates[i] = make([]*slot[float64], len(ws))
 			for j, w := range ws {
-				rates[i][j] = cell(g, cid(w, fmt.Sprintf("gshare-%dbits", bits)), func(p Params) float64 {
-					cfg := tcConfig(taglessGshare(512), pattern(bits))
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+				rates[i][j] = mispredictCell(g, cid(w, fmt.Sprintf("gshare-%dbits", bits)), w, gsharePoint(bits))
 			}
 		}
 		g.run()
@@ -579,19 +539,14 @@ var cbtComparison = registerExperiment(&Experiment{
 		cells := make([]cbtCell, len(ws))
 		for i, w := range ws {
 			cells[i] = cbtCell{
-				base: cell(g, cid(w, "btb"), func(p Params) float64 {
-					return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-				}),
+				base: mispredictCell(g, cid(w, "btb"), w, btbPoint),
 				stale: cell(g, cid(w, "cbt-stale"), func(p Params) float64 {
 					return runCBT(w, p, false)
 				}),
 				oracle: cell(g, cid(w, "cbt-oracle"), func(p Params) float64 {
 					return runCBT(w, p, true)
 				}),
-				tc: cell(g, cid(w, "target-cache"), func(p Params) float64 {
-					return runAccuracy(w, p,
-						tcConfig(taglessGshare(512), pattern(9))).IndirectMispredictRate()
-				}),
+				tc: mispredictCell(g, cid(w, "target-cache"), w, gsharePoint(9)),
 			}
 		}
 		g.run()

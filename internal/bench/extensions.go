@@ -3,11 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/history"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -23,52 +22,31 @@ var cxxExperiment = registerExperiment(&Experiment{
 		if err != nil {
 			panic(err)
 		}
-		tctx := newTimingContext(p)
 
 		// Virtual-call targets correlate with the *path* of recent call
 		// targets (composite object structure), so all variants here use
 		// ind-jmp path history; tagged caches can store history beyond
 		// the index width in their tags — the paper's conjecture.
-		mkPath := func(bits, bitsPerTarget int) func() history.Provider {
-			return path(history.PathConfig{
-				Bits: bits, BitsPerTarget: bitsPerTarget, AddrBitOffset: 2,
-				Filter: history.FilterIndJmp,
-			})
-		}
-		mkTagged := func(ways, histBits int) func() core.TargetCache {
-			return func() core.TargetCache {
-				return core.NewTagged(core.TaggedConfig{
-					Entries: 256, Ways: ways,
-					Scheme: core.SchemeHistoryXor, HistBits: histBits,
-				})
-			}
-		}
 		variants := []struct {
 			name string
-			cfg  sim.Config
+			pt   sweep.Point
 		}{
-			{"tagless gshare (512), path 9x1", tcConfig(taglessGshare(512), mkPath(9, 1))},
-			{"tagless gshare (512), path 9x3", tcConfig(taglessGshare(512), mkPath(9, 3))},
-			{"tagged xor (256, 4-way), path 9x3", tcConfig(mkTagged(4, 9), mkPath(9, 3))},
-			{"tagged xor (256, 4-way), path 16x4", tcConfig(mkTagged(4, 16), mkPath(16, 4))},
-			{"tagged xor (256, 16-way), path 24x2", tcConfig(mkTagged(16, 24), mkPath(24, 2))},
-			{"ittage, path 64x4", tcConfig(func() core.TargetCache {
-				return core.NewITTAGE(core.DefaultITTAGEConfig())
-			}, mkPath(64, 4))},
+			{"tagless gshare (512), path 9x1", withPath(taglessPoint("gshare", "path-indjmp", 9), 1, 2)},
+			{"tagless gshare (512), path 9x3", withPath(taglessPoint("gshare", "path-indjmp", 9), 3, 2)},
+			{"tagged xor (256, 4-way), path 9x3", withPath(taggedPoint("xor", 4, "path-indjmp", 9), 3, 2)},
+			{"tagged xor (256, 4-way), path 16x4", withPath(taggedPoint("xor", 4, "path-indjmp", 16), 4, 2)},
+			{"tagged xor (256, 16-way), path 24x2", withPath(taggedPoint("xor", 16, "path-indjmp", 24), 2, 2)},
+			{"ittage, path 64x4", withPath(ittagePoint("path-indjmp"), 4, 2)},
 		}
 
 		g := newCellGroup(p)
-		warmBaselines(g, tctx, []*workload.Workload{w})
-		baseRate := cell(g, cid(w, "btb"), func(p Params) float64 {
-			return runAccuracy(w, p, sim.DefaultConfig()).IndirectMispredictRate()
-		})
+		warmBaselines(g, []*workload.Workload{w})
+		baseRate := mispredictCell(g, cid(w, "btb"), w, btbPoint)
 		accs := make([]*slot[float64], len(variants))
 		reds := make([]*slot[float64], len(variants))
 		for i, v := range variants {
-			accs[i] = cell(g, cid(w, v.name+"/accuracy"), func(p Params) float64 {
-				return runAccuracy(w, p, v.cfg).IndirectMispredictRate()
-			})
-			reds[i] = tctx.reduction(g, cid(w, v.name+"/timing"), w, v.cfg)
+			accs[i] = mispredictCell(g, cid(w, v.name+"/accuracy"), w, v.pt)
+			reds[i] = reductionCell(g, cid(w, v.name+"/timing"), w, v.pt)
 		}
 		g.run()
 
@@ -92,36 +70,22 @@ var followupsExperiment = registerExperiment(&Experiment{
 	ID:    "followups",
 	Title: "Lineage: target cache vs cascaded predictor vs ITTAGE-style (misprediction rate)",
 	Run: func(p Params) []*stats.Table {
-		tcCfg := tcConfig(func() core.TargetCache {
-			return core.NewTagged(core.TaggedConfig{
-				Entries: 256, Ways: 4, Scheme: core.SchemeHistoryXor, HistBits: 9,
-			})
-		}, pattern(9))
-		hybridCfg := tcConfig(func() core.TargetCache {
-			return core.DefaultChooser()
-		}, pattern(9))
-		cascCfg := tcConfig(func() core.TargetCache {
-			return core.NewCascaded(core.DefaultCascadedConfig())
-		}, pattern(9))
-		ittageCfg := tcConfig(func() core.TargetCache {
-			return core.NewITTAGE(core.DefaultITTAGEConfig())
-		}, path(history.PathConfig{
-			Bits: 64, BitsPerTarget: 1, AddrBitOffset: 2,
-			Filter: history.FilterControl,
-		}))
-
 		ws := workload.All()
 		ws = append(ws, workload.Extras()...)
-		configs := []sim.Config{sim.DefaultConfig(), tcCfg, hybridCfg, cascCfg, ittageCfg}
+		configs := []sweep.Point{
+			btbPoint,
+			taggedPoint("xor", 4, "pattern", 9),
+			{Family: "hybrid", History: "pattern", HistBits: 9},
+			{Family: "cascaded", Scheme: "filtered", History: "pattern", Stage1: 128, Entries: 256, Ways: 4, HistBits: 9},
+			ittagePoint("path-control"),
+		}
 		cfgNames := []string{"btb", "target-cache", "hybrid", "cascaded", "ittage"}
 		g := newCellGroup(p)
 		rates := make([][]*slot[float64], len(ws))
 		for i, w := range ws {
 			rates[i] = make([]*slot[float64], len(configs))
-			for j, cfg := range configs {
-				rates[i][j] = cell(g, cid(w, cfgNames[j]), func(p Params) float64 {
-					return runAccuracy(w, p, cfg).IndirectMispredictRate()
-				})
+			for j, pt := range configs {
+				rates[i][j] = mispredictCell(g, cid(w, cfgNames[j]), w, pt)
 			}
 		}
 		g.run()
@@ -155,15 +119,15 @@ var wrongPathExperiment = registerExperiment(&Experiment{
 	ID:    "wrongpath",
 	Title: "Ablation: wrong-path fetch modeling (event-driven model)",
 	Run: func(p Params) []*stats.Table {
-		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
 		type wpCell struct{ baseClean, tcClean, baseWP, tcWP *slot[cpu.Result] }
 		g := newCellGroup(p)
 		cells := make([]wpCell, len(ws))
 		for i, w := range ws {
-			run := func(p Params, cfg sim.Config, wrongPath bool) cpu.Result {
+			run := func(p Params, pt sweep.Point, wrongPath bool) cpu.Result {
 				col := p.startCollector()
 				defer p.mergeCollector(col)
+				cfg := configOf(pt).Config
 				cfg.Telemetry = col
 				mc := cpu.DefaultConfig()
 				mc.ModelWrongPath = wrongPath
@@ -175,10 +139,10 @@ var wrongPathExperiment = registerExperiment(&Experiment{
 				return res
 			}
 			cells[i] = wpCell{
-				baseClean: cell(g, cid(w, "btb"), func(p Params) cpu.Result { return run(p, sim.DefaultConfig(), false) }),
-				tcClean:   cell(g, cid(w, "tc"), func(p Params) cpu.Result { return run(p, tcCfg, false) }),
-				baseWP:    cell(g, cid(w, "btb-wrongpath"), func(p Params) cpu.Result { return run(p, sim.DefaultConfig(), true) }),
-				tcWP:      cell(g, cid(w, "tc-wrongpath"), func(p Params) cpu.Result { return run(p, tcCfg, true) }),
+				baseClean: cell(g, cid(w, "btb"), func(p Params) cpu.Result { return run(p, btbPoint, false) }),
+				tcClean:   cell(g, cid(w, "tc"), func(p Params) cpu.Result { return run(p, gsharePoint(9), false) }),
+				baseWP:    cell(g, cid(w, "btb-wrongpath"), func(p Params) cpu.Result { return run(p, btbPoint, true) }),
+				tcWP:      cell(g, cid(w, "tc-wrongpath"), func(p Params) cpu.Result { return run(p, gsharePoint(9), true) }),
 			}
 		}
 		g.run()
@@ -218,7 +182,6 @@ var contextSwitchExperiment = registerExperiment(&Experiment{
 	ID:    "context-switch",
 	Title: "Ablation: predictor flush interval vs indirect misprediction rate",
 	Run: func(p Params) []*stats.Table {
-		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
 		intervals := []int64{0, 1_000_000, 100_000, 10_000, 1_000}
 		type csCell struct{ base, tc *slot[float64] }
@@ -229,10 +192,10 @@ var contextSwitchExperiment = registerExperiment(&Experiment{
 			for j, interval := range intervals {
 				cells[i][j] = csCell{
 					base: cell(g, cid(w, fmt.Sprintf("btb/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, sim.DefaultConfig()).IndirectMispredictRate()
+						return runAccuracyFlushes(w, p, interval, btbPoint).IndirectMispredictRate()
 					}),
 					tc: cell(g, cid(w, fmt.Sprintf("tc/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, tcCfg).IndirectMispredictRate()
+						return runAccuracyFlushes(w, p, interval, gsharePoint(9)).IndirectMispredictRate()
 					}),
 				}
 			}
@@ -276,10 +239,12 @@ var rasExperiment = registerExperiment(&Experiment{
 				if err != nil {
 					panic(err)
 				}
-				rates[i][j] = cell(g, cid(w, fmt.Sprintf("ras-%d", depth)), func(p Params) float64 {
-					cfg := sim.DefaultConfig()
-					cfg.RASDepth = depth
-					return runAccuracy(w, p, cfg).Returns.MispredictRate()
+				pt := btbPoint
+				if depth != sim.DefaultConfig().RASDepth {
+					pt.RASDepth = depth
+				}
+				rates[i][j] = accuracyCell(g, cid(w, fmt.Sprintf("ras-%d", depth)), w, pt, func(r sim.AccuracyResult) float64 {
+					return r.Returns.MispredictRate()
 				})
 			}
 		}
@@ -326,7 +291,6 @@ var sensitivityExperiment = registerExperiment(&Experiment{
 				c.Width, c.Window, c.FrontEndDepth = 16, 256, 14
 			}},
 		}
-		tcCfg := tcConfig(taglessGshare(512), pattern(9))
 		ws := workload.PerlGcc()
 		type sensCell struct{ base, tc *slot[cpu.Result] }
 		g := newCellGroup(p)
@@ -337,12 +301,8 @@ var sensitivityExperiment = registerExperiment(&Experiment{
 				machineCfg := cpu.DefaultConfig()
 				m.mutate(&machineCfg)
 				cells[i][j] = sensCell{
-					base: cell(g, cid(w, fmt.Sprintf("machine%d/btb", j)), func(p Params) cpu.Result {
-						return runTiming(w, p, sim.DefaultConfig(), machineCfg)
-					}),
-					tc: cell(g, cid(w, fmt.Sprintf("machine%d/tc", j)), func(p Params) cpu.Result {
-						return runTiming(w, p, tcCfg, machineCfg)
-					}),
+					base: timingCell(g, cid(w, fmt.Sprintf("machine%d/btb", j)), w, btbPoint, machineCfg),
+					tc:   timingCell(g, cid(w, fmt.Sprintf("machine%d/tc", j)), w, gsharePoint(9), machineCfg),
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -120,38 +121,58 @@ type panicTC struct{ core.TargetCache }
 
 func (panicTC) Predict(pc, hist uint64) (uint64, bool) { panic("injected predictor fault") }
 
-// TestGangPanicIsConfinedToItsMember pins the gang's fault isolation: when
-// the fused run itself panics, the members rerun alone, so only the
-// faulty member fails and its siblings report what they report alone.
+// TestGangPanicIsConfinedToItsMember pins the gang's fault isolation, for
+// timing and accuracy gangs alike: when the fused run itself panics, the
+// members rerun alone, so only the faulty member fails and its siblings
+// report what they report alone.
 func TestGangPanicIsConfinedToItsMember(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Params{AccuracyBudget: 20_000, TimingBudget: 20_000, Parallel: 1}
-	good := tcConfig(taglessGshare(512), pattern(9))
-	bad := tcConfig(func() core.TargetCache { return panicTC{taglessGshare(512)()} }, pattern(9))
-	run := func(cfgs ...sim.Config) []*slot[float64] {
-		g := newCellGroup(p)
-		tctx := newTimingContext(p)
-		var slots []*slot[float64]
-		for i, cfg := range cfgs {
-			slots = append(slots, tctx.reduction(g, cid(w, fmt.Sprint(i)), w, cfg))
+	good := gsharePoint(9)
+	bad := gsharePoint(8) // a distinct request whose predictor faults
+	build := gangPoint
+	gangPoint = func(pt sweep.Point) (sim.GangPoint, error) {
+		gp, err := build(pt)
+		if newTC := gp.Config.NewTargetCache; pt == bad {
+			gp.Config.NewTargetCache = func() core.TargetCache { return panicTC{newTC()} }
 		}
-		if items := g.plan(g.cells); len(items) != 1 {
-			t.Fatalf("%d members planned into %d items, want one gang", len(cfgs), len(items))
-		}
-		g.run()
-		return slots
+		return gp, err
 	}
-	alone := run(good)[0]
-	got := run(good, bad, good)
-	for _, i := range []int{0, 2} {
-		if !got[i].ok() || got[i].val != alone.val {
-			t.Errorf("sibling %d: ok=%v val=%v, want the solo run's %v", i, got[i].ok(), got[i].val, alone.val)
-		}
+	t.Cleanup(func() { gangPoint = build })
+
+	kinds := map[string]func(*cellGroup, cellID, sweep.Point) *slot[float64]{
+		"timing": func(g *cellGroup, id cellID, pt sweep.Point) *slot[float64] {
+			return reductionCell(g, id, w, pt)
+		},
+		"accuracy": func(g *cellGroup, id cellID, pt sweep.Point) *slot[float64] {
+			return mispredictCell(g, id, w, pt)
+		},
 	}
-	if got[1].ok() || !strings.Contains(got[1].cerr.Error(), "injected predictor fault") {
-		t.Errorf("faulty member: %v, want the injected fault", got[1].cerr)
+	for name, enqueue := range kinds {
+		run := func(pts ...sweep.Point) []*slot[float64] {
+			g := newCellGroup(p)
+			var slots []*slot[float64]
+			for i, pt := range pts {
+				slots = append(slots, enqueue(g, cid(w, fmt.Sprint(i)), pt))
+			}
+			if items := g.plan(g.cells); len(items) != 1 {
+				t.Fatalf("%s: %d cells planned into %d items, want one gang", name, len(pts), len(items))
+			}
+			g.run()
+			return slots
+		}
+		alone := run(good)[0]
+		got := run(good, bad, good)
+		for _, i := range []int{0, 2} {
+			if !got[i].ok() || got[i].val != alone.val {
+				t.Errorf("%s sibling %d: ok=%v val=%v, want the solo run's %v", name, i, got[i].ok(), got[i].val, alone.val)
+			}
+		}
+		if got[1].ok() || !strings.Contains(got[1].cerr.Error(), "injected predictor fault") {
+			t.Errorf("%s faulty member: %v, want the injected fault", name, got[1].cerr)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/history"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -16,16 +14,19 @@ func TestHistoryProbe(t *testing.T) {
 		t.Skip("diagnostic probe")
 	}
 	const n = 500_000
-	itt := func() core.TargetCache { return core.NewITTAGE(core.DefaultITTAGEConfig()) }
-	mk := func(f history.PathFilter) func() history.Provider {
-		return path(history.PathConfig{Bits: 64, BitsPerTarget: 1, AddrBitOffset: 2, Filter: f})
+	mk := func(hist string) sim.Config {
+		cfg, err := ittagePoint(hist).SimConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
 	}
 	ws := workload.All()
 	ws = append(ws, workload.Extras()...)
 	for _, w := range ws {
-		a := sim.RunAccuracy(w, n, tcConfig(itt, mk(history.FilterIndJmp)))
-		b := sim.RunAccuracy(w, n, tcConfig(itt, mk(history.FilterControl)))
-		c := sim.RunAccuracy(w, n, tcConfig(itt, pattern(64)))
+		a := sim.RunAccuracy(w, n, mk("path-indjmp"))
+		b := sim.RunAccuracy(w, n, mk("path-control"))
+		c := sim.RunAccuracy(w, n, mk("pattern"))
 		t.Logf("%-9s ittage: indjmp %6.2f%% control %6.2f%% pattern %6.2f%%",
 			w.Name, 100*a.IndirectMispredictRate(), 100*b.IndirectMispredictRate(),
 			100*c.IndirectMispredictRate())

@@ -189,7 +189,7 @@ func runExperiment(e *Experiment, p Params) (tables []*stats.Table, expErr *Cell
 		if v := recover(); v != nil {
 			err, stack := recoveredErr(v)
 			expErr = &CellError{Experiment: e.ID, Err: err, Stack: stack}
-			p.fails.add(expErr)
+			p.failures().add(expErr)
 		}
 	}()
 	return e.Run(p), nil
@@ -230,6 +230,13 @@ func renderChunk(format string, e *Experiment, tables []*stats.Table, expErr *Ce
 // collected in the result. The returned error covers setup problems
 // (unusable manifest, unknown format), not experiment failures.
 func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
+	// One run state per call: the memo never outlives RunSuite, so every
+	// call simulates (and counts) the same work.
+	return runSuiteWith(ctx, opts, &suiteRun{})
+}
+
+// runSuiteWith is RunSuite over a caller-supplied run state.
+func runSuiteWith(ctx context.Context, opts SuiteOptions, run *suiteRun) (*SuiteResult, error) {
 	experiments := opts.Experiments
 	if experiments == nil {
 		experiments = All()
@@ -258,7 +265,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 		}
 	}
 
-	fails := &failureLog{}
+	fails := &run.fails
 	res := &SuiteResult{}
 	// JSON output cannot stream per experiment: elements accumulate and
 	// the array is encoded once at the end, so resumed and fresh chunks
@@ -302,7 +309,7 @@ func RunSuite(ctx context.Context, opts SuiteOptions) (*SuiteResult, error) {
 		if opts.Timeout > 0 {
 			expCtx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		}
-		p := opts.Params.WithContext(expCtx).forExperiment(e.ID, fails)
+		p := opts.Params.WithContext(expCtx).forExperiment(e.ID, run)
 
 		nBefore := len(fails.all())
 		before := SnapshotStats()

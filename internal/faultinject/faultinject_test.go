@@ -327,3 +327,130 @@ func TestRestoreStopsInjection(t *testing.T) {
 		t.Error("post-restore output differs from the original healthy run")
 	}
 }
+
+// chunk returns experiment id's rendered text chunk from a suite's
+// output: its "== id: ..." header through the line before the next one.
+func chunk(t *testing.T, out, id string) string {
+	t.Helper()
+	start := strings.Index(out, "== "+id+": ")
+	if start < 0 {
+		t.Fatalf("output has no %s chunk", id)
+	}
+	rest := out[start:]
+	if end := strings.Index(rest, "\n== "); end >= 0 {
+		rest = rest[:end+1]
+	}
+	return rest
+}
+
+// TestFailedCellIsNeverMemoized panics the table1 cell that would have
+// stored gcc's BTB-only accuracy in the suite memo: table2, which asks
+// for the same simulation, must compute it itself and render exactly as
+// in a fault-free run.
+func TestFailedCellIsNeverMemoized(t *testing.T) {
+	exps := experiments(t, "table1", "table2")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{PanicCells: map[string]string{"table1/gcc/btb": "injected panic"}}
+	restore := plan.Install()
+	defer restore()
+
+	for _, parallel := range []int{1, 8} {
+		res, out := runSuite(t, exps, parallel)
+		if len(res.Failures) != 1 || res.Failures[0].CellLabel() != "table1/gcc/btb" {
+			t.Fatalf("parallel %d: failures %v, want exactly table1/gcc/btb", parallel, res.Failures)
+		}
+		if got, want := chunk(t, out, "table2"), chunk(t, healthy, "table2"); got != want {
+			t.Errorf("parallel %d: table2 differs from the fault-free run:\n%s\nwant:\n%s", parallel, got, want)
+		}
+	}
+}
+
+// TestPanicInFusedAccuracyMemberIsIsolated panics one member of a fused
+// accuracy gang (followups runs each workload's five predictors in one
+// pass): only that entry renders ERR, and its gang siblings stay
+// byte-identical to a fault-free run at any worker count.
+func TestPanicInFusedAccuracyMemberIsIsolated(t *testing.T) {
+	const label = "followups/gcc/cascaded"
+	exps := experiments(t, "followups")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{PanicCells: map[string]string{label: "injected panic"}}
+	restore := plan.Install()
+	defer restore()
+
+	res, out1 := runSuite(t, exps, 1)
+	_, out8 := runSuite(t, exps, 8)
+	if out1 != out8 {
+		t.Error("faulty output differs between 1 and 8 workers")
+	}
+	if len(res.Failures) != 1 || res.Failures[0].CellLabel() != label {
+		t.Fatalf("failures %v, want exactly %s", res.Failures, label)
+	}
+	var faulty []string
+	for _, l := range strings.Split(out1, "\n") {
+		if !strings.Contains(l, "cell(s) failed") && !strings.HasPrefix(l, "note: ERR ") {
+			faulty = append(faulty, l)
+		}
+	}
+	lines := strings.Split(healthy, "\n")
+	if len(lines) != len(faulty) {
+		t.Fatalf("faulty output has %d lines, healthy %d", len(faulty), len(lines))
+	}
+	changed := 0
+	for i, h := range lines {
+		if h == faulty[i] {
+			continue
+		}
+		// Columns: benchmark, BTB, target cache, hybrid, cascaded, ittage.
+		want := strings.Fields(h)
+		if len(want) == 6 {
+			want[4] = "ERR"
+		}
+		if want[0] != "gcc" || strings.Join(strings.Fields(faulty[i]), " ") != strings.Join(want, " ") {
+			t.Errorf("line changed under a one-member fault:\n  healthy: %q\n  faulty:  %q", h, faulty[i])
+		}
+		changed++
+	}
+	if changed != 1 {
+		t.Errorf("%d rows changed, want exactly the gcc row", changed)
+	}
+}
+
+// TestTimedOutExperimentLeavesNoMemoEntry cuts table1 short with the
+// per-experiment deadline while its gcc cell is mid-simulation: the
+// partial result must not reach the memo, so table2 renders exactly as
+// in a fault-free run.
+func TestTimedOutExperimentLeavesNoMemoEntry(t *testing.T) {
+	exps := experiments(t, "table1", "table2")
+	_, healthy := runSuite(t, exps, 1)
+
+	plan := &Plan{DelayCells: map[string]time.Duration{"table1/gcc/btb": 1500 * time.Millisecond}}
+	restore := plan.Install()
+	defer restore()
+
+	var buf bytes.Buffer
+	res, err := bench.RunSuite(context.Background(), bench.SuiteOptions{
+		Experiments: exps,
+		Params:      testParams(1),
+		Format:      "text",
+		Timeout:     time.Second,
+		Out:         &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timedOut := false
+	for _, ce := range res.Failures {
+		if ce.Experiment != "table1" || !errors.Is(ce.Err, context.DeadlineExceeded) {
+			t.Errorf("unexpected failure %v", ce)
+		}
+		timedOut = timedOut || ce.CellLabel() == "table1/gcc/btb"
+	}
+	if !timedOut {
+		t.Fatalf("table1/gcc/btb did not time out: %v", res.Failures)
+	}
+	if got, want := chunk(t, buf.String(), "table2"), chunk(t, healthy, "table2"); got != want {
+		t.Errorf("table2 differs from the fault-free run:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -81,14 +82,18 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 // RunAccuracyGangCtx simulates every member of pts over a single pass of
 // factory's decoded block stream and returns one AccuracyResult per
 // member, in order, each struct-identical to what RunAccuracyCtx would
-// report for that member alone.
+// report for that member alone. A member's telemetry collector, when
+// set, receives exactly the calls a solo run would make.
+//
+// A member without a target cache (a BTB-only config) rides the gang's
+// front end: its result is the shared skeleton plus one shared "BTB
+// verdict" counter set, however many such members there are.
 //
 // The second return is false — and no simulation runs — when the gang
 // cannot be fused: the factory exposes no decoded BlockSource, a member
-// lacks a target cache (the BTB-only family sweeps its front-end geometry,
-// which is exactly the state fusion shares), a member carries a telemetry
-// collector (collectors are single-run), or the members disagree on
-// front-end configuration. Callers fall back to per-point runs.
+// has a target cache but no history, or the members disagree on
+// front-end configuration (BTB, RAS depth, direction predictor). Callers
+// fall back to per-point runs.
 func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
 	if len(pts) == 0 {
 		return nil, false
@@ -100,7 +105,7 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 	front := pts[0].Config
 	for _, pt := range pts {
 		cfg := pt.Config
-		if cfg.NewTargetCache == nil || cfg.NewHistory == nil || cfg.Telemetry != nil {
+		if cfg.NewTargetCache != nil && cfg.NewHistory == nil {
 			return nil, false
 		}
 		if cfg.BTB != front.BTB || cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
@@ -113,41 +118,85 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
 	engine := NewEngine(front)
 
-	members := make([]gangMember, len(pts))
-	tcs := make([]core.TargetCache, len(pts))
-	var providers []history.Provider
+	var (
+		members   []gangMember
+		tcs       []core.TargetCache
+		providers []history.Provider
+		obs       gangObs
+		observed  bool
+	)
 	shared := make(map[string]int32, len(pts))
-	for i, pt := range pts {
-		tcs[i] = pt.Config.NewTargetCache()
+	for _, pt := range pts {
+		tel := pt.Config.Telemetry
+		observed = observed || tel != nil
+		if pt.Config.NewTargetCache == nil {
+			if obs.btb == nil {
+				obs.btb = &btbVerdict{}
+			}
+			if tel != nil {
+				obs.btb.tels = append(obs.btb.tels, tel)
+			}
+			continue
+		}
+		obs.tels = append(obs.tels, tel)
+		tcs = append(tcs, pt.Config.NewTargetCache())
+		var m gangMember
 		if key := pt.HistShare; key != "" {
 			if idx, ok := shared[key]; ok {
-				members[i].hist = idx
+				m.hist = idx
+				members = append(members, m)
 				continue
 			}
 			shared[key] = int32(len(providers))
 		}
-		members[i].hist = int32(len(providers))
+		m.hist = int32(len(providers))
+		members = append(members, m)
 		providers = append(providers, pt.Config.NewHistory())
 	}
 
-	// Instantiate the kernel over the members' concrete target-cache type
-	// when the gang is family-homogeneous. Grid expansion emits points
-	// family by family, so shards — and the gangs cut from them — mix
-	// families only at grid boundaries; the rare mixed gang takes the
-	// interface-typed instantiation of the same kernel. As in the solo
-	// kernel, pointer-typed caches share one GC shape, so the per-member
-	// Predict/Update calls still go through the generics dictionary.
+	// Only gangs with a BTB-only member or a collector carry an
+	// observer; the rest (every sweep gang) run the plain fused loop.
+	var o *gangObs
+	if obs.btb != nil || observed {
+		for _, m := range members {
+			obs.hists = append(obs.hists, m.hist)
+		}
+		o = &obs
+	}
+	tcRes, btbRes := dispatchGangTC(ctx, bs, budget, engine, members, tcs, providers, o)
+	out := make([]AccuracyResult, len(pts))
+	for i, pt := range pts {
+		if pt.Config.NewTargetCache == nil {
+			out[i] = btbRes
+			continue
+		}
+		out[i], tcRes = tcRes[0], tcRes[1:]
+	}
+	return out, true
+}
+
+// dispatchGangTC instantiates the kernel over the members' concrete
+// target-cache type when the gang is family-homogeneous. Grid expansion
+// emits points family by family, so shards — and the gangs cut from them
+// — mix families only at grid boundaries; the rare mixed gang takes the
+// interface-typed instantiation of the same kernel. As in the solo
+// kernel, pointer-typed caches share one GC shape, so the per-member
+// Predict/Update calls still go through the generics dictionary.
+func dispatchGangTC(
+	ctx context.Context, bs trace.BlockSource, budget int64,
+	engine *Engine, members []gangMember, tcs []core.TargetCache, providers []history.Provider, obs *gangObs,
+) ([]AccuracyResult, AccuracyResult) {
 	switch {
 	case allOf[*core.Tagless](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagless](tcs), providers), true
+		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagless](tcs), providers, obs)
 	case allOf[*core.Tagged](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagged](tcs), providers), true
+		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagged](tcs), providers, obs)
 	case allOf[*core.Cascaded](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Cascaded](tcs), providers), true
+		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Cascaded](tcs), providers, obs)
 	case allOf[*core.ITTAGE](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.ITTAGE](tcs), providers), true
+		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.ITTAGE](tcs), providers, obs)
 	}
-	return dispatchGangHist(ctx, bs, budget, engine, members, tcs, providers), true
+	return dispatchGangHist(ctx, bs, budget, engine, members, tcs, providers, obs)
 }
 
 // dispatchGangHist monomorphizes over the providers' concrete type for an
@@ -156,15 +205,15 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 // gangs take the interface-typed instantiation.
 func dispatchGangHist[TC targetCache](
 	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, providers []history.Provider,
-) []AccuracyResult {
+	engine *Engine, members []gangMember, tcs []TC, providers []history.Provider, obs *gangObs,
+) ([]AccuracyResult, AccuracyResult) {
 	if hs, ok := homogeneous[history.PatternProvider](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs)
+		return gangKernel(ctx, bs, budget, engine, members, tcs, hs, obs)
 	}
 	if hs, ok := homogeneous[*history.Path](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs)
+		return gangKernel(ctx, bs, budget, engine, members, tcs, hs, obs)
 	}
-	return gangKernel(ctx, bs, budget, engine, members, tcs, providers)
+	return gangKernel(ctx, bs, budget, engine, members, tcs, providers, obs)
 }
 
 // homogeneous converts the provider slice to its concrete element type
@@ -201,15 +250,86 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 	return out
 }
 
+// btbVerdict is the outcome every BTB-only member of a gang shares on the
+// records where target-cache members diverge.
+type btbVerdict struct {
+	cond, direct, returns, indirect, overall stats.Counter
+	// tels are the BTB-only members' collectors.
+	tels []*telemetry.Collector
+}
+
+// gangObs receives the outcomes only some gangs need: the BTB-only
+// members' shared verdict and the members' telemetry. Gangs with neither
+// pass a nil observer and skip every call.
+type gangObs struct {
+	tels  []*telemetry.Collector // per target-cache member; nil entries unobserved
+	hists []int32                // per target-cache member: its history register
+	btb   *btbVerdict
+}
+
+// memberIndirect reports target-cache member mi's own verdict on an
+// indirect-class record whose prediction consulted its cache.
+func (o *gangObs) memberIndirect(mi int, insns int64, r *trace.Record, hist, pTarget uint64, correct bool) {
+	if tel := o.tels[mi]; tel != nil {
+		tel.SetClock(insns)
+		tel.Indirect(r.PC, hist, pTarget, true, r.Target, correct)
+	}
+}
+
+// diverged reports a record whose prediction consulted the target
+// caches; a BTB-only member predicts the BTB entry's target there.
+func (o *gangObs) diverged(insns int64, r *trace.Record, entryTarget uint64) {
+	v := o.btb
+	if v == nil {
+		return
+	}
+	// The kernel reports only predicted-taken records here.
+	correct := r.Taken && entryTarget == r.Target
+	switch r.Class {
+	case trace.ClassCondDirect:
+		v.cond.Record(correct)
+	case trace.ClassUncondDirect, trace.ClassCall:
+		v.direct.Record(correct)
+	case trace.ClassReturn:
+		v.returns.Record(correct)
+	case trace.ClassIndJump, trace.ClassIndCall:
+		v.indirect.Record(correct)
+		for _, tel := range v.tels {
+			tel.SetClock(insns)
+			tel.Indirect(r.PC, 0, entryTarget, true, r.Target, correct)
+		}
+	}
+	v.overall.Record(correct)
+}
+
+// sharedIndirect reports an indirect-class record every member predicted
+// alike; phVals are the history registers' values.
+func (o *gangObs) sharedIndirect(insns int64, r *trace.Record, phVals []uint64, pTarget uint64, hasPrediction, correct bool) {
+	for mi, tel := range o.tels {
+		if tel != nil {
+			tel.SetClock(insns)
+			tel.Indirect(r.PC, phVals[o.hists[mi]], pTarget, hasPrediction, r.Target, correct)
+		}
+	}
+	if o.btb != nil {
+		// BTB-only members see no history.
+		for _, tel := range o.btb.tels {
+			tel.SetClock(insns)
+			tel.Indirect(r.PC, 0, pTarget, hasPrediction, r.Target, correct)
+		}
+	}
+}
+
 // gangKernel is the fused accuracy loop. It mirrors accuracyKernel record
 // for record — same context-poll positions, same lean materialization,
 // same clean-prefix error contract — with the per-branch work split into
 // a shared skeleton (run once) and a per-member tail (run only when a
-// member's target cache is consulted).
+// member's target cache is consulted). It returns the target-cache
+// members' results in order plus the result every BTB-only member shares.
 func gangKernel[TC targetCache, H historySource](
 	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, hists []H,
-) []AccuracyResult {
+	engine *Engine, members []gangMember, tcs []TC, hists []H, obs *gangObs,
+) ([]AccuracyResult, AccuracyResult) {
 	var res AccuracyResult // shared skeleton counters
 	// sharedInd counts indirect-class records whose prediction never
 	// consulted a target cache (BTB miss, not-taken direction, or a stale
@@ -233,23 +353,31 @@ func gangKernel[TC targetCache, H historySource](
 	// finish assembles the per-member results: the shared skeleton plus
 	// each member's divergence counters, every member reporting the same
 	// instruction count and error a solo run stopped at this record would.
-	finish := func(err error) []AccuracyResult {
+	finish := func(err error) ([]AccuracyResult, AccuracyResult) {
+		assemble := func(cond, direct, returns, indirect, overall stats.Counter, tcCovered int64) AccuracyResult {
+			mr := res
+			mr.Instructions = insns
+			mr.Conditional.Add(cond)
+			mr.Direct.Add(direct)
+			mr.Returns.Add(returns)
+			mr.Indirect = sharedInd
+			mr.Indirect.Add(indirect)
+			mr.Overall.Add(overall)
+			mr.TCCovered = tcCovered
+			mr.Err = err
+			return mr
+		}
 		out := make([]AccuracyResult, len(members))
 		for mi := range members {
 			m := &members[mi]
-			mr := res
-			mr.Instructions = insns
-			mr.Conditional.Add(m.cond)
-			mr.Direct.Add(m.direct)
-			mr.Returns.Add(m.returns)
-			mr.Indirect = sharedInd
-			mr.Indirect.Add(m.indirect)
-			mr.Overall.Add(m.overall)
-			mr.TCCovered = m.tcCovered
-			mr.Err = err
-			out[mi] = mr
+			out[mi] = assemble(m.cond, m.direct, m.returns, m.indirect, m.overall, m.tcCovered)
 		}
-		return out
+		var btbRes AccuracyResult
+		if obs != nil && obs.btb != nil {
+			v := obs.btb
+			btbRes = assemble(v.cond, v.direct, v.returns, v.indirect, v.overall, 0)
+		}
+		return out, btbRes
 	}
 
 	for bi := 0; insns < effEnd; bi++ {
@@ -333,8 +461,14 @@ func gangKernel[TC targetCache, H historySource](
 						if pFromTC {
 							mem.tcCovered++
 						}
+						if obs != nil {
+							obs.memberIndirect(mi, insns, &r, phVals[mem.hist], pTarget, correct)
+						}
 					}
 					mem.overall.Record(correct)
+				}
+				if obs != nil {
+					obs.diverged(insns, &r, entry.Target)
 				}
 			} else {
 				// No target cache consulted: the prediction — and its
@@ -361,6 +495,9 @@ func gangKernel[TC targetCache, H historySource](
 					res.Returns.Record(correct)
 				case trace.ClassIndJump, trace.ClassIndCall:
 					sharedInd.Record(correct)
+					if obs != nil {
+						obs.sharedIndirect(insns, &r, phVals, pTarget, pTaken && pHasTarget, correct)
+					}
 				}
 				res.Overall.Record(correct)
 			}

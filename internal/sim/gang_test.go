@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -135,21 +136,6 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused over a factory with no BlockSource")
 		}
 	})
-	t.Run("btb-baseline-member", func(t *testing.T) {
-		pts := append([]GangPoint{{Config: DefaultConfig()}}, base...)
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused a member without a target cache")
-		}
-	})
-	t.Run("telemetry-member", func(t *testing.T) {
-		pts := append([]GangPoint(nil), base...)
-		cfg := pts[0].Config
-		cfg.Telemetry = telemetry.NewCollector(telemetry.Config{})
-		pts[0].Config = cfg
-		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused a member carrying a telemetry collector")
-		}
-	})
 	t.Run("front-end-mismatch", func(t *testing.T) {
 		pts := append([]GangPoint(nil), base...)
 		cfg := pts[1].Config
@@ -159,6 +145,60 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused members with different front ends")
 		}
 	})
+}
+
+// TestGangBTBOnlyAndTelemetryMatchSolo extends the equivalence contract to
+// the two member kinds the suite adds: BTB-only members riding the gang's
+// front end, and members carrying telemetry collectors. Every result is
+// struct-identical to a solo run and every collector deep-equal to the
+// collector of that solo run, at widths 1 and full.
+func TestGangBTBOnlyAndTelemetryMatchSolo(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	mk := func(withTel bool) ([]GangPoint, []*telemetry.Collector) {
+		pts := append([]GangPoint{{Config: DefaultConfig()}}, gangPoints()...)
+		pts = append(pts, GangPoint{Config: DefaultConfig()})
+		cols := make([]*telemetry.Collector, len(pts))
+		for i := range pts {
+			// Leave one target-cache member without a collector.
+			if withTel && i != 2 {
+				cols[i] = telemetry.NewCollector(telemetry.Config{Events: 8})
+				pts[i].Config.Telemetry = cols[i]
+			}
+		}
+		return pts, cols
+	}
+	solo, soloCols := mk(true)
+	want := make([]AccuracyResult, len(solo))
+	for i, pt := range solo {
+		want[i] = RunAccuracy(rep, budget, pt.Config)
+	}
+	for _, withTel := range []bool{false, true} {
+		for _, width := range []int{1, len(solo)} {
+			pts, cols := mk(withTel)
+			for lo := 0; lo < len(pts); lo += width {
+				got, ok := RunAccuracyGang(rep, budget, pts[lo:lo+width])
+				if !ok {
+					t.Fatalf("telemetry %v width %d: gang refused to fuse", withTel, width)
+				}
+				for i, res := range got {
+					if res != want[lo+i] {
+						t.Errorf("telemetry %v width %d member %d diverges from solo\n  gang %+v\n  solo %+v",
+							withTel, width, lo+i, res, want[lo+i])
+					}
+				}
+			}
+			for i, col := range cols {
+				if col != nil && !reflect.DeepEqual(col, soloCols[i]) {
+					t.Errorf("width %d member %d: collector differs from the solo run's", width, i)
+				}
+			}
+		}
+	}
 }
 
 // TestGangErrorContract pins the fused kernel's corrupt-replay behaviour

@@ -53,9 +53,13 @@ func (e *PointError) Error() string {
 func gangable(p Point) bool { return p.Family != "btb" }
 
 // histShareKey identifies the point's exact history-provider
-// configuration (scheme + depth fully determine the provider, see
-// historyProvider); equal keys within a gang share one register.
-func histShareKey(p Point) string { return p.History + "#" + strconv.Itoa(p.HistBits) }
+// configuration (scheme, depth and the path register's bits per target
+// and address bit fully determine the provider, see historyProvider);
+// equal keys within a gang share one register.
+func histShareKey(p Point) string {
+	return p.History + "#" + strconv.Itoa(p.HistBits) +
+		"#" + strconv.Itoa(p.pathBitsPerTarget()) + "#" + strconv.Itoa(p.pathAddrBit())
+}
 
 // gangKey is the grouping key: one workload (one trace pass) and one
 // history scheme (registers shared across the gang's depths).

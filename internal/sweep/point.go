@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"repro/internal/btb"
 	"repro/internal/core"
@@ -27,7 +28,39 @@ type Point struct {
 	Stage1 int `json:"stage1_entries,omitempty"`
 	// Tables is the ittage tagged-table count.
 	Tables int `json:"tables,omitempty"`
+	// PathBitsPerTarget is how many bits of each recorded target a path
+	// history register shifts in; 0 means 1.
+	PathBitsPerTarget int `json:"path_bits_per_target,omitempty"`
+	// PathAddrBit is the target-address bit where path extraction
+	// starts; 0 means 2, the lowest useful bit of a word-aligned target.
+	PathAddrBit int `json:"path_addr_bit,omitempty"`
+	// RASDepth is the front end's return-address-stack depth; 0 means
+	// the paper's 32.
+	RASDepth int `json:"ras_depth,omitempty"`
 }
+
+// Defaults the zero values of the optional fields stand for.
+const (
+	defaultPathBitsPerTarget = 1
+	defaultPathAddrBit       = 2
+	defaultRASDepth          = 32
+	maxRASDepth              = 1 << 12
+)
+
+// orDefault resolves an optional field: zero means def.
+func orDefault(v, def int) int {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
+// pathBitsPerTarget and pathAddrBit are the effective path-register
+// parameters.
+func (p Point) pathBitsPerTarget() int {
+	return orDefault(p.PathBitsPerTarget, defaultPathBitsPerTarget)
+}
+func (p Point) pathAddrBit() int { return orDefault(p.PathAddrBit, defaultPathAddrBit) }
 
 // ittageLens returns the geometric history lengths for n tagged tables:
 // the n-length tail of {2, 4, 8, 16, 32, 64}, so the longest history is
@@ -38,8 +71,24 @@ func ittageLens(n int) []int {
 }
 
 // ConfigLabel is the point's canonical configuration name (without the
-// workload), e.g. "tagless-gshare-e512-h9-pattern".
+// workload), e.g. "tagless-gshare-e512-h9-pattern". The optional fields
+// add a suffix only when they differ from their default, so a point that
+// leaves them unset keeps the label it had before they existed.
 func (p Point) ConfigLabel() string {
+	label := p.familyLabel()
+	if v := p.pathBitsPerTarget(); v != defaultPathBitsPerTarget {
+		label += fmt.Sprintf("-bpt%d", v)
+	}
+	if v := p.pathAddrBit(); v != defaultPathAddrBit {
+		label += fmt.Sprintf("-abit%d", v)
+	}
+	if v := orDefault(p.RASDepth, defaultRASDepth); v != defaultRASDepth {
+		label += fmt.Sprintf("-ras%d", v)
+	}
+	return label
+}
+
+func (p Point) familyLabel() string {
 	switch p.Family {
 	case "btb":
 		return fmt.Sprintf("btb-%s-e%d-w%d", p.Scheme, p.Entries, p.Ways)
@@ -51,6 +100,8 @@ func (p Point) ConfigLabel() string {
 		return fmt.Sprintf("cascaded-%s-s%d-e%d-w%d-h%d-t%d-%s", p.Scheme, p.Stage1, p.Entries, p.Ways, p.HistBits, p.TagBits, p.History)
 	case "ittage":
 		return fmt.Sprintf("ittage-b%d-e%d-n%d-t%d-h%d-%s", p.Stage1, p.Entries, p.Tables, p.TagBits, p.HistBits, p.History)
+	case "hybrid":
+		return fmt.Sprintf("hybrid-h%d-%s", p.HistBits, p.History)
 	default:
 		return "unknown"
 	}
@@ -66,6 +117,9 @@ func pow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // the invalid ones, so range axes may legally sweep past a family's
 // constraints at some grid corners.
 func (p Point) Validate() error {
+	if err := p.validateOptional(); err != nil {
+		return err
+	}
 	switch p.Family {
 	case "btb":
 		if !pow2(p.Entries) || !pow2(p.Ways) || p.Ways > p.Entries {
@@ -95,8 +149,31 @@ func (p Point) Validate() error {
 			return err
 		}
 		return p.validateHistory()
+	case "hybrid":
+		return p.validateHistory()
 	default:
 		return fmt.Errorf("sweep: unknown family %q", p.Family)
+	}
+	return nil
+}
+
+// validateOptional range-checks the optional path and RAS fields; the
+// path fields need a path history register to act on.
+func (p Point) validateOptional() error {
+	if p.RASDepth < 0 || p.RASDepth > maxRASDepth {
+		return fmt.Errorf("sweep: RAS depth %d out of range [1, %d]", p.RASDepth, maxRASDepth)
+	}
+	if p.PathBitsPerTarget == 0 && p.PathAddrBit == 0 {
+		return nil
+	}
+	if !strings.HasPrefix(p.History, "path-") {
+		return fmt.Errorf("sweep: path bits per target / address bit need a path history, not %q", p.History)
+	}
+	if p.PathBitsPerTarget < 0 || p.PathBitsPerTarget > p.HistBits {
+		return fmt.Errorf("sweep: path bits per target %d out of range [1, %d]", p.PathBitsPerTarget, p.HistBits)
+	}
+	if p.PathAddrBit < 0 || p.PathAddrBit > 62 {
+		return fmt.Errorf("sweep: path address bit %d out of range [1, 62]", p.PathAddrBit)
 	}
 	return nil
 }
@@ -184,7 +261,7 @@ func (p Point) historyProvider() func() history.Provider {
 	if p.History == "pattern" {
 		return func() history.Provider { return history.NewPatternProvider(hbits) }
 	}
-	cfg := history.PathConfig{Bits: hbits, BitsPerTarget: 1, AddrBitOffset: 2}
+	cfg := history.PathConfig{Bits: hbits, BitsPerTarget: p.pathBitsPerTarget(), AddrBitOffset: p.pathAddrBit()}
 	switch p.History {
 	case "path-peraddr":
 		cfg.PerAddress = true
@@ -201,13 +278,17 @@ func (p Point) historyProvider() func() history.Provider {
 }
 
 // SimConfig builds the point's front-end configuration: the paper's
-// baseline front end, with the BTB re-geometried for btb-family points or
-// augmented with the point's target cache and history otherwise.
+// baseline front end (with the point's RAS depth), with the BTB
+// re-geometried for btb-family points or augmented with the point's
+// target cache and history otherwise.
 func (p Point) SimConfig() (sim.Config, error) {
 	if err := p.Validate(); err != nil {
 		return sim.Config{}, err
 	}
 	cfg := sim.DefaultConfig()
+	if p.RASDepth != 0 {
+		cfg.RASDepth = p.RASDepth
+	}
 	switch p.Family {
 	case "btb":
 		cfg.BTB = btb.Config{Sets: p.Entries / p.Ways, Ways: p.Ways}
@@ -234,8 +315,21 @@ func (p Point) SimConfig() (sim.Config, error) {
 		it := p.ittageConfig()
 		return cfg.WithTargetCache(
 			func() core.TargetCache { return core.NewITTAGE(it) }, p.historyProvider()), nil
+	case "hybrid":
+		return cfg.WithTargetCache(
+			func() core.TargetCache { return core.DefaultChooser() }, p.historyProvider()), nil
 	}
 	return sim.Config{}, fmt.Errorf("sweep: unknown family %q", p.Family)
+}
+
+// GangPoint builds the point's sim.GangPoint: its SimConfig plus the key
+// under which gang members share a history register.
+func (p Point) GangPoint() (sim.GangPoint, error) {
+	cfg, err := p.SimConfig()
+	if err != nil {
+		return sim.GangPoint{}, err
+	}
+	return sim.GangPoint{Config: cfg, HistShare: histShareKey(p)}, nil
 }
 
 // StorageBits prices the point's total target-prediction storage: the
@@ -267,6 +361,8 @@ func (p Point) StorageBits() (int, error) {
 		return btb.DefaultConfig().CostBits() + p.cascadedConfig().CostBits(), nil
 	case "ittage":
 		return btb.DefaultConfig().CostBits() + p.ittageConfig().CostBits(), nil
+	case "hybrid":
+		return btb.DefaultConfig().CostBits() + core.DefaultChooser().CostBits(), nil
 	}
 	return 0, fmt.Errorf("sweep: unknown family %q", p.Family)
 }
