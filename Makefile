@@ -28,10 +28,10 @@ race:
 fault:
 	$(GO) test -race ./internal/faultinject
 
-# Short mutation pass over every decoder/parser fuzz target (the seed
-# corpus alone is already replayed by plain `go test`). `go test -fuzz`
-# accepts one target at a time, hence the loops. Raise FUZZTIME for a real
-# fuzzing session.
+# Short mutation pass over every decoder/parser fuzz target and the gang
+# kernel's random-trace equivalence target (the seed corpus alone is
+# already replayed by plain `go test`). `go test -fuzz` accepts one target
+# at a time, hence the loops. Raise FUZZTIME for a real fuzzing session.
 FUZZTIME ?= 2s
 fuzz:
 	for t in FuzzReaderV1 FuzzReaderV2 FuzzAutoReader FuzzCursor FuzzBlocks FuzzStore; do \
@@ -47,6 +47,7 @@ fuzz:
 	for t in FuzzParseSpec FuzzParseAxis; do \
 		$(GO) test -run '^$$' -fuzz "^$${t}$$" -fuzztime $(FUZZTIME) ./internal/sweep || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzGangMatchesSolo$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 test-short:
 	$(GO) test -short ./...

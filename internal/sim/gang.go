@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"slices"
 
+	"repro/internal/btb"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/stats"
@@ -17,38 +19,49 @@ import (
 // traversal — and everything in the front end that evolves identically
 // for every member — happens once per gang instead of once per point.
 //
-// What makes fusion sound: the baseline front-end structures (BTB, return
-// address stack, direction predictor) and the branch-history registers
-// train purely on the resolved record stream, never on prediction
-// outcomes, so two runs differing only in their target cache hold
-// bit-identical front-end state at every instruction. A gang therefore
+// What makes fusion sound: the return address stack, the direction
+// predictor and the branch-history registers train purely on the resolved
+// record stream, never on prediction outcomes, so runs differing in their
+// target cache or their BTB hold bit-identical state in those structures
+// at every instruction. The BTB trains on the resolved stream too, but its
+// state depends on its own geometry and update strategy. A gang therefore
 // shares
 //
 //   - one block iteration: record fields (pc/target/class byte) are read
 //     once per block for the whole gang;
-//   - one front end: every member must carry the same BTB geometry, RAS
-//     depth and direction-predictor config (the sweep's target-cache
-//     families all use the paper's baseline front end, so this holds by
-//     construction); probe, direction prediction and training run once;
+//   - one RAS and one direction predictor: every member must carry the
+//     same RAS depth and direction-predictor config. RAS.Peek and
+//     dirpred.Predict are pure, so one evaluation per record serves every
+//     member, and training runs once;
 //   - per-scheme history registers: members naming the same HistShare key
 //     provably construct identical providers, so the register is computed
 //     and trained once and its Value is read by every member using that
-//     scheme.
+//     scheme;
+//
+// and splits the rest into lanes, one per distinct BTB configuration (in
+// first-seen member order). A lane owns its BTB, probed and trained once
+// per record for all of the lane's members, and the lane's skeleton
+// counters. Every suite gang and every sweep target-cache gang runs the
+// paper's baseline BTB and so has a single lane; the sweep's btb family
+// fuses its geometries as one lane per point.
 //
 // Per member there remains only the target cache itself — flat tables
 // allocated per member, with the member bookkeeping (history index,
 // divergence counters) laid out contiguously in one slice — touched only
 // on records whose prediction or update actually consults it: indirect
 // jumps and calls, plus the rare record whose stale BTB entry
-// misclassifies it as indirect. Everything else is accumulated once in
-// shared counters and added into every member's result at the end, so the
+// misclassifies it as indirect. A member consults its cache only when its
+// own lane's BTB detects an indirect jump, the rule the solo kernel
+// follows. Everything else is accumulated once per lane in the skeleton
+// counters and added into every lane member's result at the end, so the
 // per-record marginal cost of a gang member is zero on the ~95% of
 // branches that never touch a target cache.
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
 // struct-identical to sim.RunAccuracy over the same factory, budget and
-// config. TestGangMatchesSolo and the sweep package's differential
-// harness pin this at gang widths 1, 4 and K across worker counts.
+// config. TestGangMatchesSolo, TestGangLanesMatchSolo, FuzzGangMatchesSolo
+// and the sweep package's differential harness pin this at gang widths 1,
+// 4 and K across worker counts.
 
 // GangPoint is one member of a fused gang: a full simulation config plus
 // an optional history-sharing key.
@@ -66,12 +79,26 @@ type GangPoint struct {
 // is the gang's only per-member allocation besides the target caches
 // themselves; counters here record only the records whose outcome
 // diverged per member (their prediction consulted the member's target
-// cache) — the shared skeleton counters live once in the kernel.
+// cache) — the shared skeleton counters live once per lane.
 type gangMember struct {
 	hist int32 // index into the shared provider table
 
 	cond, direct, returns, indirect, overall stats.Counter
 	tcCovered                                int64
+}
+
+// gangLane is one distinct BTB configuration of a gang: its BTB, the
+// skeleton counters of the records on which no target cache of the lane
+// was consulted (their outcome is identical for every member of the
+// lane), and its members — target-cache members members[lo:hi] and the
+// BTB-only members, which share one verdict.
+type gangLane struct {
+	btb    *btb.BTB
+	lo, hi int
+
+	cond, direct, returns, indirect, overall stats.Counter
+	// verdict is nil when the lane has no BTB-only member.
+	verdict *btbVerdict
 }
 
 // RunAccuracyGang is RunAccuracyGangCtx under context.Background.
@@ -85,15 +112,17 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 // report for that member alone. A member's telemetry collector, when
 // set, receives exactly the calls a solo run would make.
 //
-// A member without a target cache (a BTB-only config) rides the gang's
-// front end: its result is the shared skeleton plus one shared "BTB
-// verdict" counter set, however many such members there are.
+// Members may differ in BTB configuration: each distinct btb.Config is a
+// lane with its own BTB. A member without a target cache (a BTB-only
+// config) rides its lane's BTB: its result is the lane's skeleton plus
+// one "BTB verdict" counter set the lane's BTB-only members share,
+// however many there are.
 //
 // The second return is false — and no simulation runs — when the gang
 // cannot be fused: the factory exposes no decoded BlockSource, a member
-// has a target cache but no history, or the members disagree on
-// front-end configuration (BTB, RAS depth, direction predictor). Callers
-// fall back to per-point runs.
+// has a target cache but no history, or the members disagree on RAS
+// depth or direction-predictor config. Callers fall back to per-point
+// runs.
 func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
 	if len(pts) == 0 {
 		return nil, false
@@ -103,18 +132,25 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 		return nil, false
 	}
 	front := pts[0].Config
-	for _, pt := range pts {
+	var btbs []btb.Config // one per lane, first-seen order
+	laneOf := make([]int, len(pts))
+	for i, pt := range pts {
 		cfg := pt.Config
 		if cfg.NewTargetCache != nil && cfg.NewHistory == nil {
 			return nil, false
 		}
-		if cfg.BTB != front.BTB || cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
+		if cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
 			return nil, false
 		}
+		li := slices.Index(btbs, cfg.BTB)
+		if li < 0 {
+			li, btbs = len(btbs), append(btbs, cfg.BTB)
+		}
+		laneOf[i] = li
 	}
 
-	// One shared front end, built from the common config with the
-	// per-member structures stripped.
+	// The shared RAS and direction predictor, built from the common
+	// config with the per-member structures stripped.
 	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
 	engine := NewEngine(front)
 
@@ -125,52 +161,70 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 		obs       gangObs
 		observed  bool
 	)
+	// Target-cache members are laid out lane by lane, so a lane's
+	// members are one contiguous run; memberOf maps each point back.
+	lanes := make([]gangLane, len(btbs))
+	memberOf := make([]int, len(pts))
 	shared := make(map[string]int32, len(pts))
-	for _, pt := range pts {
-		tel := pt.Config.Telemetry
-		observed = observed || tel != nil
-		if pt.Config.NewTargetCache == nil {
-			if obs.btb == nil {
-				obs.btb = &btbVerdict{}
-			}
-			if tel != nil {
-				obs.btb.tels = append(obs.btb.tels, tel)
-			}
-			continue
+	for li := range lanes {
+		ln := &lanes[li]
+		ln.btb = engine.BTB
+		if li > 0 {
+			ln.btb = btb.New(btbs[li])
 		}
-		obs.tels = append(obs.tels, tel)
-		tcs = append(tcs, pt.Config.NewTargetCache())
-		var m gangMember
-		if key := pt.HistShare; key != "" {
-			if idx, ok := shared[key]; ok {
-				m.hist = idx
-				members = append(members, m)
+		ln.lo = len(members)
+		for i, pt := range pts {
+			if laneOf[i] != li {
 				continue
 			}
-			shared[key] = int32(len(providers))
+			tel := pt.Config.Telemetry
+			observed = observed || tel != nil
+			if pt.Config.NewTargetCache == nil {
+				memberOf[i] = -1
+				if ln.verdict == nil {
+					ln.verdict = &btbVerdict{}
+				}
+				if tel != nil {
+					ln.verdict.tels = append(ln.verdict.tels, tel)
+				}
+				continue
+			}
+			memberOf[i] = len(members)
+			obs.tels = append(obs.tels, tel)
+			tcs = append(tcs, pt.Config.NewTargetCache())
+			var m gangMember
+			if key := pt.HistShare; key != "" {
+				if idx, ok := shared[key]; ok {
+					m.hist = idx
+					members = append(members, m)
+					continue
+				}
+				shared[key] = int32(len(providers))
+			}
+			m.hist = int32(len(providers))
+			members = append(members, m)
+			providers = append(providers, pt.Config.NewHistory())
 		}
-		m.hist = int32(len(providers))
-		members = append(members, m)
-		providers = append(providers, pt.Config.NewHistory())
+		ln.hi = len(members)
 	}
 
-	// Only gangs with a BTB-only member or a collector carry an
-	// observer; the rest (every sweep gang) run the plain fused loop.
+	// Only gangs with a collector carry an observer; the rest (every
+	// sweep gang) skip every telemetry call.
 	var o *gangObs
-	if obs.btb != nil || observed {
+	if observed {
 		for _, m := range members {
 			obs.hists = append(obs.hists, m.hist)
 		}
 		o = &obs
 	}
-	tcRes, btbRes := dispatchGangTC(ctx, bs, budget, engine, members, tcs, providers, o)
+	tcRes, btbRes := dispatchGangTC(ctx, bs, budget, engine, lanes, members, tcs, providers, o)
 	out := make([]AccuracyResult, len(pts))
-	for i, pt := range pts {
-		if pt.Config.NewTargetCache == nil {
-			out[i] = btbRes
-			continue
+	for i := range pts {
+		if mi := memberOf[i]; mi >= 0 {
+			out[i] = tcRes[mi]
+		} else {
+			out[i] = btbRes[laneOf[i]]
 		}
-		out[i], tcRes = tcRes[0], tcRes[1:]
 	}
 	return out, true
 }
@@ -183,20 +237,20 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 // kernel, pointer-typed caches share one GC shape, so the per-member
 // Predict/Update calls still go through the generics dictionary.
 func dispatchGangTC(
-	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []core.TargetCache, providers []history.Provider, obs *gangObs,
-) ([]AccuracyResult, AccuracyResult) {
+	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
+	members []gangMember, tcs []core.TargetCache, providers []history.Provider, obs *gangObs,
+) ([]AccuracyResult, []AccuracyResult) {
 	switch {
 	case allOf[*core.Tagless](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagless](tcs), providers, obs)
+		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Tagless](tcs), providers, obs)
 	case allOf[*core.Tagged](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Tagged](tcs), providers, obs)
+		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Tagged](tcs), providers, obs)
 	case allOf[*core.Cascaded](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.Cascaded](tcs), providers, obs)
+		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Cascaded](tcs), providers, obs)
 	case allOf[*core.ITTAGE](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, members, cast[*core.ITTAGE](tcs), providers, obs)
+		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.ITTAGE](tcs), providers, obs)
 	}
-	return dispatchGangHist(ctx, bs, budget, engine, members, tcs, providers, obs)
+	return dispatchGangHist(ctx, bs, budget, engine, lanes, members, tcs, providers, obs)
 }
 
 // dispatchGangHist monomorphizes over the providers' concrete type for an
@@ -204,16 +258,16 @@ func dispatchGangTC(
 // scheme, so gangs are history-homogeneous in practice; heterogeneous
 // gangs take the interface-typed instantiation.
 func dispatchGangHist[TC targetCache](
-	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, providers []history.Provider, obs *gangObs,
-) ([]AccuracyResult, AccuracyResult) {
+	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
+	members []gangMember, tcs []TC, providers []history.Provider, obs *gangObs,
+) ([]AccuracyResult, []AccuracyResult) {
 	if hs, ok := homogeneous[history.PatternProvider](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs, obs)
+		return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, hs, obs)
 	}
 	if hs, ok := homogeneous[*history.Path](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, members, tcs, hs, obs)
+		return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, hs, obs)
 	}
-	return gangKernel(ctx, bs, budget, engine, members, tcs, providers, obs)
+	return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, providers, obs)
 }
 
 // homogeneous converts the provider slice to its concrete element type
@@ -250,21 +304,19 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 	return out
 }
 
-// btbVerdict is the outcome every BTB-only member of a gang shares on the
-// records where target-cache members diverge.
+// btbVerdict is the outcome every BTB-only member of a lane shares on the
+// records where the lane's target-cache members diverge.
 type btbVerdict struct {
 	cond, direct, returns, indirect, overall stats.Counter
 	// tels are the BTB-only members' collectors.
 	tels []*telemetry.Collector
 }
 
-// gangObs receives the outcomes only some gangs need: the BTB-only
-// members' shared verdict and the members' telemetry. Gangs with neither
-// pass a nil observer and skip every call.
+// gangObs carries the members' telemetry collectors. Gangs without any
+// collector pass a nil observer and skip every call.
 type gangObs struct {
 	tels  []*telemetry.Collector // per target-cache member; nil entries unobserved
 	hists []int32                // per target-cache member: its history register
-	btb   *btbVerdict
 }
 
 // memberIndirect reports target-cache member mi's own verdict on an
@@ -276,13 +328,9 @@ func (o *gangObs) memberIndirect(mi int, insns int64, r *trace.Record, hist, pTa
 	}
 }
 
-// diverged reports a record whose prediction consulted the target
+// diverged reports a record whose prediction consulted the lane's target
 // caches; a BTB-only member predicts the BTB entry's target there.
-func (o *gangObs) diverged(insns int64, r *trace.Record, entryTarget uint64) {
-	v := o.btb
-	if v == nil {
-		return
-	}
+func (v *btbVerdict) diverged(insns int64, r *trace.Record, entryTarget uint64) {
 	// The kernel reports only predicted-taken records here.
 	correct := r.Taken && entryTarget == r.Target
 	switch r.Class {
@@ -302,18 +350,18 @@ func (o *gangObs) diverged(insns int64, r *trace.Record, entryTarget uint64) {
 	v.overall.Record(correct)
 }
 
-// sharedIndirect reports an indirect-class record every member predicted
-// alike; phVals are the history registers' values.
-func (o *gangObs) sharedIndirect(insns int64, r *trace.Record, phVals []uint64, pTarget uint64, hasPrediction, correct bool) {
-	for mi, tel := range o.tels {
-		if tel != nil {
+// sharedIndirect reports an indirect-class record every member of lane ln
+// predicted alike; phVals are the history registers' values.
+func (o *gangObs) sharedIndirect(ln *gangLane, insns int64, r *trace.Record, phVals []uint64, pTarget uint64, hasPrediction, correct bool) {
+	for mi := ln.lo; mi < ln.hi; mi++ {
+		if tel := o.tels[mi]; tel != nil {
 			tel.SetClock(insns)
 			tel.Indirect(r.PC, phVals[o.hists[mi]], pTarget, hasPrediction, r.Target, correct)
 		}
 	}
-	if o.btb != nil {
+	if ln.verdict != nil {
 		// BTB-only members see no history.
-		for _, tel := range o.btb.tels {
+		for _, tel := range ln.verdict.tels {
 			tel.SetClock(insns)
 			tel.Indirect(r.PC, 0, pTarget, hasPrediction, r.Target, correct)
 		}
@@ -323,20 +371,18 @@ func (o *gangObs) sharedIndirect(insns int64, r *trace.Record, phVals []uint64, 
 // gangKernel is the fused accuracy loop. It mirrors accuracyKernel record
 // for record — same context-poll positions, same lean materialization,
 // same clean-prefix error contract — with the per-branch work split into
-// a shared skeleton (run once) and a per-member tail (run only when a
-// member's target cache is consulted). It returns the target-cache
-// members' results in order plus the result every BTB-only member shares.
+// a shared part (direction prediction, history values, RAS, direction and
+// history training: run once), a per-lane skeleton (BTB probe, shared
+// outcome, BTB training: run once per lane) and a per-member tail (run
+// only when the member's lane consults its target cache). It returns the
+// target-cache members' results in order plus, per lane, the result every
+// BTB-only member of the lane shares.
 func gangKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, budget int64,
-	engine *Engine, members []gangMember, tcs []TC, hists []H, obs *gangObs,
-) ([]AccuracyResult, AccuracyResult) {
-	var res AccuracyResult // shared skeleton counters
-	// sharedInd counts indirect-class records whose prediction never
-	// consulted a target cache (BTB miss, not-taken direction, or a stale
-	// non-indirect BTB class): their outcome is identical for every
-	// member.
-	var sharedInd stats.Counter
-	btbT, ras, dir := engine.BTB, engine.RAS, engine.Dir
+	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
+	members []gangMember, tcs []TC, hists []H, obs *gangObs,
+) ([]AccuracyResult, []AccuracyResult) {
+	var branches int64
+	ras, dir := engine.RAS, engine.Dir
 	phVals := make([]uint64, len(hists))
 
 	limit := budget
@@ -350,32 +396,34 @@ func gangKernel[TC targetCache, H historySource](
 	var insns int64
 	var r trace.Record
 
-	// finish assembles the per-member results: the shared skeleton plus
+	// finish assembles the per-member results: the lane's skeleton plus
 	// each member's divergence counters, every member reporting the same
 	// instruction count and error a solo run stopped at this record would.
-	finish := func(err error) ([]AccuracyResult, AccuracyResult) {
-		assemble := func(cond, direct, returns, indirect, overall stats.Counter, tcCovered int64) AccuracyResult {
-			mr := res
-			mr.Instructions = insns
+	finish := func(err error) ([]AccuracyResult, []AccuracyResult) {
+		assemble := func(ln *gangLane, cond, direct, returns, indirect, overall stats.Counter, tcCovered int64) AccuracyResult {
+			mr := AccuracyResult{
+				Instructions: insns, Branches: branches,
+				Conditional: ln.cond, Direct: ln.direct, Returns: ln.returns, Indirect: ln.indirect, Overall: ln.overall,
+				TCCovered: tcCovered, Err: err,
+			}
 			mr.Conditional.Add(cond)
 			mr.Direct.Add(direct)
 			mr.Returns.Add(returns)
-			mr.Indirect = sharedInd
 			mr.Indirect.Add(indirect)
 			mr.Overall.Add(overall)
-			mr.TCCovered = tcCovered
-			mr.Err = err
 			return mr
 		}
 		out := make([]AccuracyResult, len(members))
-		for mi := range members {
-			m := &members[mi]
-			out[mi] = assemble(m.cond, m.direct, m.returns, m.indirect, m.overall, m.tcCovered)
-		}
-		var btbRes AccuracyResult
-		if obs != nil && obs.btb != nil {
-			v := obs.btb
-			btbRes = assemble(v.cond, v.direct, v.returns, v.indirect, v.overall, 0)
+		btbRes := make([]AccuracyResult, len(lanes))
+		for li := range lanes {
+			ln := &lanes[li]
+			for mi := ln.lo; mi < ln.hi; mi++ {
+				m := &members[mi]
+				out[mi] = assemble(ln, m.cond, m.direct, m.returns, m.indirect, m.overall, m.tcCovered)
+			}
+			if v := ln.verdict; v != nil {
+				btbRes[li] = assemble(ln, v.cond, v.direct, v.returns, v.indirect, v.overall, 0)
+			}
 		}
 		return out, btbRes
 	}
@@ -407,7 +455,7 @@ func gangKernel[TC targetCache, H historySource](
 			if cls == trace.ClassOther {
 				continue
 			}
-			res.Branches++
+			branches++
 			r.PC = pcs[i]
 			r.Target = tgts[i]
 			r.Addr = addrs[i]
@@ -415,91 +463,111 @@ func gangKernel[TC targetCache, H historySource](
 			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
 			r.Taken = mb&trace.MetaTaken != 0
 
-			// ---- shared fetch skeleton: BTB probe and direction ----
-			entry, bref, hit := btbT.Probe(r.PC)
-			var pTaken bool
-			if hit {
-				if entry.Class == trace.ClassCondDirect {
-					pTaken = dir.Predict(r.PC)
-				} else {
-					pTaken = true
-				}
-			}
 			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
-			// perMember: the prediction consults the target cache, so the
-			// outcome can differ per member. This keys on the BTB's
-			// *detected* class, exactly like the solo kernels.
-			perMember := hit && pTaken &&
-				(entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall)
-
-			if perMember || indirectCls {
-				// Value is pure and providers are not trained until the
-				// resolve phase below, so one read per scheme serves every
-				// member — the same value a solo run would see.
-				for pi := range hists {
-					phVals[pi] = hists[pi].Value(r.PC)
-				}
+			// Value is pure and providers are not trained until the
+			// resolve phase below, so one read per scheme serves every
+			// member of every lane — the same value a solo run would see.
+			// Indirect records need it for training; any other record
+			// only when some lane consults its target caches.
+			phFresh := indirectCls
+			if phFresh {
+				readHists(hists, phVals, r.PC)
 			}
+			// The direction prediction is pure too: evaluated at most
+			// once per record, by the first lane whose BTB detects a
+			// conditional branch.
+			var dirTaken, dirFresh bool
 
-			if perMember {
-				for mi := range members {
-					mem := &members[mi]
-					pTarget, pFromTC := entry.Target, false
-					if tgt, ok := tcs[mi].Predict(r.PC, phVals[mem.hist]); ok {
-						pTarget, pFromTC = tgt, true
+			for li := range lanes {
+				ln := &lanes[li]
+				// ---- per-lane fetch skeleton: BTB probe and direction ----
+				entry, bref, hit := ln.btb.Probe(r.PC)
+				var pTaken bool
+				if hit {
+					if entry.Class == trace.ClassCondDirect {
+						if !dirFresh {
+							dirTaken, dirFresh = dir.Predict(r.PC), true
+						}
+						pTaken = dirTaken
+					} else {
+						pTaken = true
 					}
-					correct := pTaken == r.Taken && (!r.Taken || pTarget == r.Target)
+				}
+				// perMember: the prediction consults the target cache, so
+				// the outcome can differ per member. This keys on the
+				// lane's BTB's *detected* class, exactly like the solo
+				// kernels.
+				if hit && pTaken && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall) {
+					if !phFresh {
+						readHists(hists, phVals, r.PC)
+						phFresh = true
+					}
+					for mi := ln.lo; mi < ln.hi; mi++ {
+						mem := &members[mi]
+						pTarget, pFromTC := entry.Target, false
+						if tgt, ok := tcs[mi].Predict(r.PC, phVals[mem.hist]); ok {
+							pTarget, pFromTC = tgt, true
+						}
+						correct := pTaken == r.Taken && (!r.Taken || pTarget == r.Target)
+						switch cls {
+						case trace.ClassCondDirect:
+							mem.cond.Record(correct)
+						case trace.ClassUncondDirect, trace.ClassCall:
+							mem.direct.Record(correct)
+						case trace.ClassReturn:
+							mem.returns.Record(correct)
+						case trace.ClassIndJump, trace.ClassIndCall:
+							mem.indirect.Record(correct)
+							if pFromTC {
+								mem.tcCovered++
+							}
+							if obs != nil {
+								obs.memberIndirect(mi, insns, &r, phVals[mem.hist], pTarget, correct)
+							}
+						}
+						mem.overall.Record(correct)
+					}
+					if ln.verdict != nil {
+						ln.verdict.diverged(insns, &r, entry.Target)
+					}
+				} else {
+					// No target cache consulted: the prediction — and its
+					// correctness — is identical for every member of the
+					// lane. Count once.
+					var pTarget uint64
+					var pHasTarget bool
+					if hit && pTaken {
+						switch entry.Class {
+						case trace.ClassReturn:
+							if addr, ok := ras.Peek(); ok {
+								pTarget, pHasTarget = addr, true
+							}
+						default:
+							pTarget, pHasTarget = entry.Target, true
+						}
+					}
+					correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
 					switch cls {
 					case trace.ClassCondDirect:
-						mem.cond.Record(correct)
+						ln.cond.Record(correct)
 					case trace.ClassUncondDirect, trace.ClassCall:
-						mem.direct.Record(correct)
+						ln.direct.Record(correct)
 					case trace.ClassReturn:
-						mem.returns.Record(correct)
+						ln.returns.Record(correct)
 					case trace.ClassIndJump, trace.ClassIndCall:
-						mem.indirect.Record(correct)
-						if pFromTC {
-							mem.tcCovered++
-						}
+						ln.indirect.Record(correct)
 						if obs != nil {
-							obs.memberIndirect(mi, insns, &r, phVals[mem.hist], pTarget, correct)
+							obs.sharedIndirect(ln, insns, &r, phVals, pTarget, pTaken && pHasTarget, correct)
 						}
 					}
-					mem.overall.Record(correct)
+					ln.overall.Record(correct)
 				}
-				if obs != nil {
-					obs.diverged(insns, &r, entry.Target)
+				// Only this lane reads its BTB, so it trains right away.
+				if hit {
+					ln.btb.UpdateHit(bref, &r)
+				} else {
+					ln.btb.Update(&r)
 				}
-			} else {
-				// No target cache consulted: the prediction — and its
-				// correctness — is identical for every member. Count once.
-				var pTarget uint64
-				var pHasTarget bool
-				if hit && pTaken {
-					switch entry.Class {
-					case trace.ClassReturn:
-						if addr, ok := ras.Peek(); ok {
-							pTarget, pHasTarget = addr, true
-						}
-					default:
-						pTarget, pHasTarget = entry.Target, true
-					}
-				}
-				correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
-				switch cls {
-				case trace.ClassCondDirect:
-					res.Conditional.Record(correct)
-				case trace.ClassUncondDirect, trace.ClassCall:
-					res.Direct.Record(correct)
-				case trace.ClassReturn:
-					res.Returns.Record(correct)
-				case trace.ClassIndJump, trace.ClassIndCall:
-					sharedInd.Record(correct)
-					if obs != nil {
-						obs.sharedIndirect(insns, &r, phVals, pTarget, pTaken && pHasTarget, correct)
-					}
-				}
-				res.Overall.Record(correct)
 			}
 
 			// ---- resolve: per-member target-cache training, then the
@@ -521,11 +589,6 @@ func gangKernel[TC targetCache, H historySource](
 			for pi := range hists {
 				hists[pi].Observe(&r)
 			}
-			if hit {
-				btbT.UpdateHit(bref, &r)
-			} else {
-				btbT.Update(&r)
-			}
 		}
 	}
 	var tailErr error
@@ -535,4 +598,11 @@ func gangKernel[TC targetCache, H historySource](
 		tailErr = bs.TailErr()
 	}
 	return finish(tailErr)
+}
+
+// readHists loads every history register's value for pc into phVals.
+func readHists[H historySource](hists []H, phVals []uint64, pc uint64) {
+	for pi := range hists {
+		phVals[pi] = hists[pi].Value(pc)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/telemetry"
@@ -87,6 +88,113 @@ func TestGangMatchesSolo(t *testing.T) {
 	}
 }
 
+// laneGrid returns the sweep's btb-family geometries: 256..8192 entries
+// × 1, 2 and 4 ways × the default and 2-bit update strategies, 36 BTB
+// configurations.
+func laneGrid() []btb.Config {
+	var grid []btb.Config
+	for _, s := range []btb.Strategy{btb.StrategyDefault, btb.StrategyTwoBit} {
+		for entries := 256; entries <= 8192; entries *= 2 {
+			for _, ways := range []int{1, 2, 4} {
+				grid = append(grid, btb.Config{Sets: entries / ways, Ways: ways, Strategy: s})
+			}
+		}
+	}
+	return grid
+}
+
+// withBTB returns the paper's baseline front end with BTB c.
+func withBTB(c btb.Config) Config {
+	cfg := DefaultConfig()
+	cfg.BTB = c
+	return cfg
+}
+
+// lanePoints builds a multi-lane gang: one BTB-only member per geometry
+// of grid, a tagless member first (on grid[1]'s lane, which it opens), a
+// tagged member mid-gang on the lane of grid's second-to-last geometry,
+// and a second BTB-only member on grid[0]'s lane at the end.
+func lanePoints(grid []btb.Config) []GangPoint {
+	tagless := GangPoint{Config: withBTB(grid[1]).WithTargetCache(
+		func() core.TargetCache {
+			return core.NewTagless(core.TaglessConfig{Entries: 512, Scheme: core.SchemeGshare})
+		},
+		func() history.Provider { return history.NewPatternProvider(9) }), HistShare: "pattern#9"}
+	tagged := GangPoint{Config: withBTB(grid[len(grid)-2]).WithTargetCache(
+		func() core.TargetCache {
+			return core.NewTagged(core.TaggedConfig{Entries: 256, Ways: 4, HistBits: 9})
+		},
+		func() history.Provider {
+			return history.NewPath(history.PathConfig{Bits: 9, BitsPerTarget: 1, AddrBitOffset: 2, Filter: history.FilterIndJmp})
+		}), HistShare: "path-indjmp#9"}
+	pts := []GangPoint{tagless}
+	for i, c := range grid {
+		if i == len(grid)/2 {
+			pts = append(pts, tagged)
+		}
+		pts = append(pts, GangPoint{Config: withBTB(c)})
+	}
+	return append(pts, GangPoint{Config: withBTB(grid[0])})
+}
+
+// TestGangLanesMatchSolo extends the equivalence contract to gangs whose
+// members differ in BTB configuration: the sweep's 36 BTB geometries as
+// 36 lanes, with target-cache members on two different lanes and
+// BTB-only members carrying collectors. Every result is struct-identical
+// to a solo run and every collector deep-equal to its solo run's, at
+// widths 1, 3 and full.
+func TestGangLanesMatchSolo(t *testing.T) {
+	for _, name := range []string{"perl", "gcc"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const budget = 200_000
+			rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+			mk := func() ([]GangPoint, []*telemetry.Collector) {
+				pts := lanePoints(laneGrid())
+				cols := make([]*telemetry.Collector, len(pts))
+				for i := range pts {
+					// Both target-cache members (0 and the mid-gang one) and
+					// every third BTB-only member carry a collector.
+					if i%3 == 0 || pts[i].Config.NewTargetCache != nil {
+						cols[i] = telemetry.NewCollector(telemetry.Config{Events: 8})
+						pts[i].Config.Telemetry = cols[i]
+					}
+				}
+				return pts, cols
+			}
+			solo, soloCols := mk()
+			want := make([]AccuracyResult, len(solo))
+			for i, pt := range solo {
+				want[i] = RunAccuracyCtx(context.Background(), rep, budget, pt.Config)
+			}
+			for _, width := range []int{1, 3, len(solo)} {
+				pts, cols := mk()
+				for lo := 0; lo < len(pts); lo += width {
+					hi := min(lo+width, len(pts))
+					got, ok := RunAccuracyGang(rep, budget, pts[lo:hi])
+					if !ok {
+						t.Fatalf("width %d members [%d,%d): gang refused to fuse", width, lo, hi)
+					}
+					for i, res := range got {
+						if res != want[lo+i] {
+							t.Errorf("width %d member %d (%+v) diverges from solo\n  gang %+v\n  solo %+v",
+								width, lo+i, pts[lo+i].Config.BTB, res, want[lo+i])
+						}
+					}
+				}
+				for i, col := range cols {
+					if col != nil && !reflect.DeepEqual(col, soloCols[i]) {
+						t.Errorf("width %d member %d: collector differs from the solo run's", width, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestGangSharedHistoryMatchesPrivate verifies that history sharing is
 // invisible in the results: the same gang with all share keys cleared
 // (every member gets a private provider) reports identical results.
@@ -142,7 +250,33 @@ func TestGangFallbackConditions(t *testing.T) {
 		cfg.RASDepth = 8
 		pts[1].Config = cfg
 		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused members with different front ends")
+			t.Error("gang fused members with different RAS depths")
+		}
+	})
+	t.Run("dirpred-mismatch", func(t *testing.T) {
+		pts := append([]GangPoint(nil), base...)
+		cfg := pts[2].Config
+		cfg.Dir.HistoryBits--
+		pts[2].Config = cfg
+		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
+			t.Error("gang fused members with different direction predictors")
+		}
+	})
+	// A BTB mismatch is not a reason to refuse: the member opens
+	// a lane of its own.
+	t.Run("btb-mismatch-fuses", func(t *testing.T) {
+		pts := append([]GangPoint(nil), base...)
+		cfg := pts[1].Config
+		cfg.BTB.Ways = 2
+		pts[1].Config = cfg
+		got, ok := RunAccuracyGang(rep, budget, pts)
+		if !ok {
+			t.Fatal("gang refused members that differ only in BTB configuration")
+		}
+		for i, pt := range pts {
+			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
+				t.Errorf("member %d diverges from solo\n  gang %+v\n  solo %+v", i, got[i], want)
+			}
 		}
 	})
 }
@@ -201,6 +335,17 @@ func TestGangBTBOnlyAndTelemetryMatchSolo(t *testing.T) {
 	}
 }
 
+// gangShapes are the gangs the error and cancellation contracts run: the
+// single-lane history-diverse gang and a multi-lane gang mixing BTB
+// geometries, strategies and member kinds.
+func gangShapes() map[string][]GangPoint {
+	grid := laneGrid()
+	return map[string][]GangPoint{
+		"single-lane": gangPoints(),
+		"multi-lane":  append(lanePoints([]btb.Config{grid[0], grid[7], grid[20], grid[35]}), gangPoints()...),
+	}
+}
+
 // TestGangErrorContract pins the fused kernel's corrupt-replay behaviour
 // against solo runs: same partial counters per member, and the same
 // ErrCorrupt surfaced only when the budget reaches past the cleanly
@@ -213,23 +358,24 @@ func TestGangErrorContract(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), 20_000))
 	buf := rep.Bytes()
 	damaged := trace.NewReplayBytes(buf[:len(buf)*3/4], rep.Len())
-	pts := gangPoints()
-	for _, budget := range []int64{1_000, rep.Len()} {
-		got, ok := RunAccuracyGang(damaged, budget, pts)
-		if !ok {
-			t.Fatalf("budget %d: gang refused to fuse", budget)
-		}
-		for i, pt := range pts {
-			want := RunAccuracy(damaged, budget, pt.Config)
-			gotErr, wantErr := got[i].Err, want.Err
-			got[i].Err, want.Err = nil, nil
-			if got[i] != want {
-				t.Errorf("budget %d member %d: counters diverge\n  gang %+v\n  solo %+v", budget, i, got[i], want)
+	for shape, pts := range gangShapes() {
+		for _, budget := range []int64{1_000, rep.Len()} {
+			got, ok := RunAccuracyGang(damaged, budget, pts)
+			if !ok {
+				t.Fatalf("%s budget %d: gang refused to fuse", shape, budget)
 			}
-			switch {
-			case gotErr == nil && wantErr == nil:
-			case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
-				t.Errorf("budget %d member %d: error mismatch: gang %v, solo %v", budget, i, gotErr, wantErr)
+			for i, pt := range pts {
+				want := RunAccuracy(damaged, budget, pt.Config)
+				gotErr, wantErr := got[i].Err, want.Err
+				got[i].Err, want.Err = nil, nil
+				if got[i] != want {
+					t.Errorf("%s budget %d member %d: counters diverge\n  gang %+v\n  solo %+v", shape, budget, i, got[i], want)
+				}
+				switch {
+				case gotErr == nil && wantErr == nil:
+				case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
+					t.Errorf("%s budget %d member %d: error mismatch: gang %v, solo %v", shape, budget, i, gotErr, wantErr)
+				}
 			}
 		}
 	}
@@ -246,25 +392,27 @@ func TestGangCancellation(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pts := gangPoints()
-	got, ok := RunAccuracyGangCtx(ctx, rep, budget, pts)
-	if !ok {
-		t.Fatal("gang refused to fuse")
-	}
-	for i, pt := range pts {
-		want := RunAccuracyCtx(ctx, rep, budget, pt.Config)
-		if got[i].Err != context.Canceled || want.Err != context.Canceled {
-			t.Fatalf("member %d: expected context.Canceled, gang %v solo %v", i, got[i].Err, want.Err)
+	for shape, pts := range gangShapes() {
+		got, ok := RunAccuracyGangCtx(ctx, rep, budget, pts)
+		if !ok {
+			t.Fatalf("%s: gang refused to fuse", shape)
 		}
-		got[i].Err, want.Err = nil, nil
-		if got[i] != want {
-			t.Errorf("member %d: cancelled partial counters diverge\n  gang %+v\n  solo %+v", i, got[i], want)
+		for i, pt := range pts {
+			want := RunAccuracyCtx(ctx, rep, budget, pt.Config)
+			if got[i].Err != context.Canceled || want.Err != context.Canceled {
+				t.Fatalf("%s member %d: expected context.Canceled, gang %v solo %v", shape, i, got[i].Err, want.Err)
+			}
+			got[i].Err, want.Err = nil, nil
+			if got[i] != want {
+				t.Errorf("%s member %d: cancelled partial counters diverge\n  gang %+v\n  solo %+v", shape, i, got[i], want)
+			}
 		}
 	}
 }
 
 // BenchmarkGangVsSolo measures the fused kernel's amortization: one pass
-// updating 8 tagless configs against 8 separate solo passes.
+// updating 8 tagless configs against 8 separate solo passes, and one pass
+// over the sweep's 36 BTB geometries (36 lanes) against 36 solo passes.
 func BenchmarkGangVsSolo(b *testing.B) {
 	const budget = 1_000_000
 	w, err := workload.ByName("gcc")
@@ -272,10 +420,10 @@ func BenchmarkGangVsSolo(b *testing.B) {
 		b.Fatal(err)
 	}
 	rep := w.Replay(budget)
-	var pts []GangPoint
+	var tagless []GangPoint
 	for _, entries := range []int{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
 		e := entries
-		pts = append(pts, GangPoint{
+		tagless = append(tagless, GangPoint{
 			Config: DefaultConfig().WithTargetCache(
 				func() core.TargetCache {
 					return core.NewTagless(core.TaglessConfig{Entries: e, Scheme: core.SchemeGshare})
@@ -284,20 +432,30 @@ func BenchmarkGangVsSolo(b *testing.B) {
 			HistShare: "pattern#9",
 		})
 	}
-	b.Run("gang-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := RunAccuracyGang(rep, budget, pts); !ok {
-				b.Fatal("gang refused to fuse")
+	var lanes []GangPoint
+	for _, c := range laneGrid() {
+		lanes = append(lanes, GangPoint{Config: withBTB(c)})
+	}
+	for _, bc := range []struct {
+		name string
+		pts  []GangPoint
+	}{{"8", tagless}, {"lanes-36", lanes}} {
+		pts := bc.pts
+		b.Run("gang-"+bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := RunAccuracyGang(rep, budget, pts); !ok {
+					b.Fatal("gang refused to fuse")
+				}
 			}
-		}
-		b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
-	})
-	b.Run("solo-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, pt := range pts {
-				RunAccuracy(rep, budget, pt.Config)
+			b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
+		})
+		b.Run("solo-"+bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, pt := range pts {
+					RunAccuracy(rep, budget, pt.Config)
+				}
 			}
-		}
-		b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
-	})
+			b.ReportMetric(float64(int64(len(pts))*budget*int64(b.N))/b.Elapsed().Seconds()/1e6, "Mpointinstr/s")
+		})
+	}
 }

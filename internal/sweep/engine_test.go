@@ -13,13 +13,14 @@ import (
 )
 
 // diffSpec is the differential-test grid: at least one point per
-// predictor family, two workloads, small budget.
+// predictor family, two workloads, small budget. Its btb grid spans set
+// counts 64..1024, so fused btb gangs mix lanes of different geometry.
 const diffSpec = `{
 	"name": "differential",
 	"budget": 30000,
 	"workloads": ["perl", "gcc"],
 	"grids": [
-		{"family": "btb", "schemes": ["default", "2bit"], "entries": [1024], "ways": [4]},
+		{"family": "btb", "schemes": ["default", "2bit"], "entries": [256, 1024], "ways": [1, 4]},
 		{"family": "tagless", "schemes": ["gag", "gshare"], "entries": [512], "hist_bits": [9]},
 		{"family": "tagged", "schemes": ["xor"], "entries": [256], "ways": [4], "hist_bits": [9], "tag_bits": [32], "history": ["pattern", "path-indjmp"]},
 		{"family": "cascaded", "entries": [256], "ways": [4], "hist_bits": [9]},

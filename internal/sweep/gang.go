@@ -17,10 +17,13 @@ import (
 // share: one workload means one decoded block stream, one history scheme
 // means the gang's history registers collapse to one per distinct depth
 // (the share key is scheme + depth). Every target-cache family rides the
-// paper's baseline front end, so front-end state is shared by
-// construction; btb-family points sweep that front end itself and always
-// run direct. Gangs never cross shard boundaries — the shard remains the
-// checkpoint/resume unit and manifests stay byte-identical at any width.
+// paper's baseline front end, so its gangs run a single BTB lane.
+// btb-family points sweep the BTB itself: they bucket by (workload,
+// "btb") — never widening a target-cache gang — and each geometry becomes
+// one lane of the fused kernel, sharing the pass, the RAS and the
+// direction predictor. Gangs never cross shard boundaries — the shard
+// remains the checkpoint/resume unit and manifests stay byte-identical at
+// any width.
 
 // TestPointHook, when non-nil, runs just before each point is simulated,
 // inside the per-unit recover scope. The fault-injection harness uses it
@@ -47,11 +50,6 @@ func (e *PointError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// gangable reports whether the point can join a fused gang: every
-// target-cache family runs the baseline front end, while btb-family
-// points sweep the front-end geometry fusion shares.
-func gangable(p Point) bool { return p.Family != "btb" }
-
 // histShareKey identifies the point's exact history-provider
 // configuration (scheme, depth and the path register's bits per target
 // and address bit fully determine the provider, see historyProvider);
@@ -62,8 +60,14 @@ func histShareKey(p Point) string {
 }
 
 // gangKey is the grouping key: one workload (one trace pass) and one
-// history scheme (registers shared across the gang's depths).
-func gangKey(p Point) string { return p.Workload + "\x00" + p.History }
+// history scheme (registers shared across the gang's depths). btb points
+// carry no history and form their own bucket.
+func gangKey(p Point) string {
+	if p.Family == "btb" {
+		return p.Workload + "\x00btb"
+	}
+	return p.Workload + "\x00" + p.History
+}
 
 // StateBytes estimates the point's in-memory predictor footprint, the
 // quantity the auto-width planner budgets: fusing K points holds K
@@ -123,18 +127,14 @@ func autoWidth(points []Point, idxs []int) int {
 }
 
 // planUnits groups the points of one shard [lo, hi) into execution units:
-// singleton units for direct points, gangs of at most width points for
-// the rest, grouped by gangKey in first-seen order. width 0 picks a width
-// per gang automatically; width 1 forces every point direct.
+// gangs of at most width points, grouped by gangKey in first-seen order.
+// width 0 picks a width per gang automatically; width 1 forces every point
+// direct.
 func planUnits(points []Point, lo, hi, width int) [][]int {
 	var units [][]int
 	var order []string
 	buckets := make(map[string][]int)
 	for i := lo; i < hi; i++ {
-		if width == 1 || !gangable(points[i]) {
-			units = append(units, []int{i})
-			continue
-		}
 		k := gangKey(points[i])
 		if _, ok := buckets[k]; !ok {
 			order = append(order, k)

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -16,19 +17,20 @@ func planPoints() []Point {
 		{Workload: "perl", Family: "tagged", Scheme: "xor", History: "path-indjmp", Entries: 256, Ways: 4, HistBits: 9, TagBits: 32},
 		{Workload: "gcc", Family: "tagless", Scheme: "gshare", History: "pattern", Entries: 64, HistBits: 9},
 		{Workload: "perl", Family: "tagged", Scheme: "xor", History: "pattern", Entries: 512, Ways: 4, HistBits: 9, TagBits: 32},
+		{Workload: "perl", Family: "btb", Scheme: "2bit", Entries: 256, Ways: 1},
 	}
 }
 
-// TestPlanUnits pins the grouping rule: btb points run direct in place,
-// fusable points group by (workload, history scheme) in first-seen order
-// across families, and widths chunk the groups.
+// TestPlanUnits pins the grouping rule: points group by (workload, history
+// scheme) in first-seen order across target-cache families, btb points
+// form their own (workload, "btb") bucket, and widths chunk the groups.
 func TestPlanUnits(t *testing.T) {
 	pts := planPoints()
 
 	units := planUnits(pts, 0, len(pts), 0)
 	want := [][]int{
-		{2},          // btb: direct, in place
 		{0, 1, 3, 6}, // perl+pattern: tagless and tagged fuse together
+		{2, 7},       // perl+btb: one lane per BTB geometry
 		{4},          // perl+path-indjmp
 		{5},          // gcc+pattern: its own trace pass
 	}
@@ -58,7 +60,7 @@ func TestPlanUnits(t *testing.T) {
 	for _, u := range planUnits(pts, 0, len(pts), 3) {
 		sizes = append(sizes, len(u))
 	}
-	wantSizes := []int{1, 3, 1, 1, 1}
+	wantSizes := []int{3, 1, 2, 1, 1}
 	if len(sizes) != len(wantSizes) {
 		t.Fatalf("width 3 unit sizes %v, want %v", sizes, wantSizes)
 	}
@@ -87,17 +89,55 @@ func TestPlanGangs(t *testing.T) {
 		t.Fatalf("plans = %+v, want perl then gcc", plans)
 	}
 	perl := plans[0]
-	if perl.Points != 6 || perl.Passes != 3 {
-		t.Errorf("perl plan: %d points in %d passes, want 6 in 3", perl.Points, perl.Passes)
+	if perl.Points != 7 || perl.Passes != 3 {
+		t.Errorf("perl plan: %d points in %d passes, want 7 in 3", perl.Points, perl.Passes)
 	}
-	if perl.Gangs[4] != 1 || perl.Gangs[1] != 2 {
-		t.Errorf("perl gang widths = %v, want one 4-gang and two singles", perl.Gangs)
+	if perl.Gangs[4] != 1 || perl.Gangs[2] != 1 || perl.Gangs[1] != 1 {
+		t.Errorf("perl gang widths = %v, want one 4-gang, one 2-gang and one single", perl.Gangs)
 	}
 	if perl.MaxStateBytes <= 0 {
 		t.Errorf("perl MaxStateBytes = %d, want > 0", perl.MaxStateBytes)
 	}
 	if g := plans[1]; g.Points != 1 || g.Passes != 1 {
 		t.Errorf("gcc plan: %d points in %d passes, want 1 in 1", g.Points, g.Passes)
+	}
+}
+
+// TestSmokeGridFusesEveryPoint pins the execution counters on the
+// committed smoke grid: every point is accounted for exactly once, and at
+// auto width every point — btb geometries included — runs inside a fused
+// pass. The plan does not depend on the budget, so a small one keeps the
+// test fast.
+func TestSmokeGridFusesEveryPoint(t *testing.T) {
+	data, err := os.ReadFile("../../sweep_smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Budget = 5_000
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.FusedPoints + out.DirectPoints; got != int64(len(ex.Points)) {
+		t.Errorf("fused %d + direct %d points, want %d", out.FusedPoints, out.DirectPoints, len(ex.Points))
+	}
+	if out.DirectPoints != 0 || out.GangFallbacks != 0 {
+		t.Errorf("auto width ran %d points direct with %d fallbacks, want 0 and 0", out.DirectPoints, out.GangFallbacks)
+	}
+	var passes int
+	for _, plan := range PlanGangs(ex.Points, 0, 0) {
+		passes += plan.Passes
+	}
+	if want := int64(passes); out.FusedGangs != want {
+		t.Errorf("%d fused passes, PlanGangs predicts %d", out.FusedGangs, want)
 	}
 }
 
