@@ -65,9 +65,17 @@ type serverProc struct {
 	addr   string
 	stderr *bytes.Buffer
 	mu     *sync.Mutex
+	eof    chan struct{} // closed once stderr is read to EOF
 }
 
 func (p *serverProc) baseURL() string { return "http://" + p.addr }
+
+// wait reaps the child after its stderr is drained. exec.Cmd.Wait closes
+// the pipe, so reaping first could drop the last lines (the drain summary).
+func (p *serverProc) wait() error {
+	<-p.eof
+	return p.cmd.Wait()
+}
 
 func (p *serverProc) stderrText() string {
 	p.mu.Lock()
@@ -88,9 +96,10 @@ func startServer(t *testing.T, bin, dir string, extra ...string) *serverProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &serverProc{cmd: cmd, stderr: &bytes.Buffer{}, mu: &sync.Mutex{}}
+	p := &serverProc{cmd: cmd, stderr: &bytes.Buffer{}, mu: &sync.Mutex{}, eof: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(stderrPipe)
 		for sc.Scan() {
 			line := sc.Text()
@@ -110,13 +119,13 @@ func startServer(t *testing.T, bin, dir string, extra ...string) *serverProc {
 		p.addr = addr
 	case <-time.After(10 * time.Second):
 		cmd.Process.Kill()
-		cmd.Wait()
+		p.wait()
 		t.Fatalf("server never announced its address; stderr:\n%s", p.stderrText())
 	}
 	t.Cleanup(func() {
 		if cmd.ProcessState == nil {
 			cmd.Process.Kill()
-			cmd.Wait()
+			p.wait()
 		}
 	})
 	return p
@@ -129,7 +138,7 @@ func (p *serverProc) stop(t *testing.T, sig syscall.Signal) int {
 		t.Fatalf("signal %v: %v", sig, err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
+	go func() { done <- p.wait() }()
 	select {
 	case <-done:
 		return p.cmd.ProcessState.ExitCode()
@@ -328,7 +337,7 @@ func TestE2EKillNineMidUpload(t *testing.T) {
 	if err := srv.cmd.Process.Kill(); err != nil { // SIGKILL
 		t.Fatal(err)
 	}
-	srv.cmd.Wait()
+	srv.wait()
 	cancel()
 	wg.Wait()
 

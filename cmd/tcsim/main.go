@@ -7,7 +7,6 @@
 //	tcsim -exp table4
 //	tcsim -exp all -n 5000000 -t 2000000 -parallel 4
 //	tcsim -exp all -timeout 2m -resume run.json
-//	tcsim -exp all -parallel 8 -segments 4
 //	tcsim -exp all -n 100000000 -trace-store /tmp/tc -spill-mb 256
 //
 // The suite is fault tolerant: a failing simulation cell marks only its
@@ -35,7 +34,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/perfstore/client"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -54,7 +52,6 @@ func run() int {
 		model      = flag.String("model", "fast", "timing model: fast | event")
 		format     = flag.String("format", "text", "output format: text | json | csv")
 		parallel   = flag.Int("parallel", 0, "simulation cells run concurrently per experiment (0 = one per CPU, 1 = serial)")
-		segments   = flag.Int("segments", 0, "segments an accuracy cell's replay splits into (0 = auto from spare workers, 1 = off)")
 		traceStore = flag.String("trace-store", "", "spill large captures to columnar trace-store files in this directory")
 		spillMB    = flag.Int("spill-mb", 256, "with -trace-store: captures above this in-memory size (MB) spill to disk")
 		timeout    = flag.Duration("timeout", 0, "per-experiment deadline (0 = none); timed-out cells render ERR")
@@ -103,10 +100,6 @@ func run() int {
 		case "timeout":
 			if *timeout <= 0 {
 				usageErr = fmt.Sprintf("-timeout must be positive, got %v", *timeout)
-			}
-		case "segments":
-			if *segments < 0 {
-				usageErr = fmt.Sprintf("-segments must be non-negative, got %d", *segments)
 			}
 		case "spill-mb":
 			if *spillMB <= 0 {
@@ -189,7 +182,6 @@ func run() int {
 		params.Parallel = *parallel
 	}
 	params.EventModel = *model == "event"
-	params.Segments = *segments
 
 	if *traceStore != "" {
 		// A record's in-memory SoA footprint is ~28 bytes (three u64 columns
@@ -316,10 +308,6 @@ func run() int {
 		if work.MemoHits+work.MemoMisses > 0 {
 			fmt.Fprintf(os.Stderr, "tcsim: suite memo %d hits / %d misses\n", work.MemoHits, work.MemoMisses)
 		}
-		if segs := sim.SegmentCounters(); segs.SegmentedRuns > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: segmented %d runs into %d segments (%d warm-up instructions)\n",
-				segs.SegmentedRuns, segs.SegmentsExecuted, segs.WarmupInstructions)
-		}
 		if spilledCaptures, spilledBytes := workload.SpillStats(); spilledCaptures > 0 {
 			cache := trace.StoreCacheCounters()
 			fmt.Fprintf(os.Stderr, "tcsim: spilled %d captures (%d bytes on disk); store cache %d hits / %d misses / %d evictions\n",
@@ -335,7 +323,6 @@ func run() int {
 	if recorder != nil {
 		replayCalls, captureCount := workload.MemoCounters()
 		_, memoBytes := workload.MemoStats()
-		segs := sim.SegmentCounters()
 		cache := trace.StoreCacheCounters()
 		spilledCaptures, spilledBytes := workload.SpillStats()
 		rep := recorder.Report(telemetry.RunInfo{
@@ -345,9 +332,6 @@ func run() int {
 			MemoCaptures:        captureCount,
 			MemoHits:            replayCalls - captureCount,
 			MemoBytes:           memoBytes,
-			SegmentedRuns:       segs.SegmentedRuns,
-			SegmentsExecuted:    segs.SegmentsExecuted,
-			WarmupInstructions:  segs.WarmupInstructions,
 			StoreCacheHits:      cache.Hits,
 			StoreCacheMisses:    cache.Misses,
 			StoreCacheEvictions: cache.Evictions,

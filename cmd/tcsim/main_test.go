@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // The tests drive the real command: TestMain re-executes the test binary
@@ -151,5 +155,78 @@ func TestResumeAfterPartialRunMatchesFreshRun(t *testing.T) {
 	resumed := run("-exp", "all", "-resume", manifest)
 	if fresh := run("-exp", "all"); resumed != fresh {
 		t.Error("-exp all resumed from a table1 manifest differs from a fresh -exp all")
+	}
+}
+
+// TestInterruptDrains pins the SIGINT contract: an interrupt sent once the
+// first experiment has finished cancels the rest of the suite, yet every
+// finished experiment still renders, the telemetry file is valid JSON
+// marked interrupted, and tcsim exits 1.
+func TestInterruptDrains(t *testing.T) {
+	telem := filepath.Join(t.TempDir(), "t.json")
+	cmd := exec.Command(os.Args[0], "-exp", "all", "-n", "2000000", "-telemetry", telem)
+	cmd.Env = append(os.Environ(), tcsimMainEnv+"=1")
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Per-experiment summary lines read "tcsim: <id>  <wall> ms ...".
+	var finished, lines []string
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		line := sc.Text()
+		lines = append(lines, line)
+		if f := strings.Fields(line); len(f) > 3 && f[0] == "tcsim:" && f[3] == "ms" {
+			if len(finished) == 0 {
+				if err := cmd.Process.Signal(os.Interrupt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			finished = append(finished, f[1])
+		}
+	}
+	err = cmd.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want code 1; stderr:\n%s", err, strings.Join(lines, "\n"))
+	}
+	if len(finished) == 0 || len(finished) == len(bench.All()) {
+		t.Fatalf("%d of %d experiments finished; want the interrupt to land mid-suite", len(finished), len(bench.All()))
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "interrupted:") {
+		t.Errorf("stderr lacks the interrupt digest:\n%s", strings.Join(lines, "\n"))
+	}
+	for _, id := range finished {
+		e, err := bench.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header := "== " + e.ID + ": " + e.Title + " =="; !strings.Contains(out.String(), header) {
+			t.Errorf("finished experiment %s did not render", id)
+		}
+	}
+
+	raw, err := os.ReadFile(telem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Run map[string]any `json:"run"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("telemetry file is not valid JSON: %v", err)
+	}
+	if rep.Run["interrupted"] != true {
+		t.Errorf("telemetry run section lacks \"interrupted\": true: %v", rep.Run)
+	}
+	for k := range rep.Run {
+		if strings.Contains(k, "segment") {
+			t.Errorf("telemetry run section has a segment field %q", k)
+		}
 	}
 }

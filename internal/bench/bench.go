@@ -32,12 +32,6 @@ type Params struct {
 	// are gathered positionally, so rendered tables are byte-identical at
 	// every setting.
 	Parallel int
-	// Segments is the number of concurrent segments an accuracy cell may
-	// split its capture into (sim.RunAccuracySegmentedCtx): 0 picks
-	// automatically — split only when idle workers outnumber queued
-	// cells — 1 disables splitting, N forces up to N. Results are
-	// byte-identical at every setting.
-	Segments int
 	// Telemetry, when non-nil, collects per-site predictor statistics,
 	// misprediction events and run-level metrics: every simulation cell
 	// gets a private collector, merged into the recorder when the cell
@@ -57,9 +51,6 @@ type Params struct {
 	// run, when non-nil, is the RunSuite call's shared state: the
 	// failure log for the exit digest and the simulation memo.
 	run *suiteRun
-	// segs is the segment count resolved by the cell scheduler for the
-	// current cell group (cellSegments applied to the queue length).
-	segs int
 }
 
 // workers resolves Parallel to a concrete worker count.
@@ -83,28 +74,6 @@ func (p Params) shareBudget() int64 {
 		return p.AccuracyBudget
 	}
 	return p.TimingBudget
-}
-
-// cellSegments resolves Segments for a group of `cells` queued cells.
-// Automatic mode splits only when workers would otherwise idle (fewer
-// cells than workers), giving each cell roughly the spare workers, capped
-// at 8 — beyond that, priming overhead outweighs the extra overlap.
-func (p Params) cellSegments(cells int) int {
-	if p.Segments == 1 {
-		return 1
-	}
-	if p.Segments > 1 {
-		return p.Segments
-	}
-	w := p.workers()
-	if cells <= 0 || w <= cells {
-		return 1
-	}
-	s := (w + cells - 1) / cells
-	if s > 8 {
-		s = 8
-	}
-	return s
 }
 
 // WithContext returns a copy of p whose simulation cells observe ctx:

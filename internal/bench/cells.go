@@ -239,12 +239,6 @@ func (g *cellGroup) run() {
 	cells := g.cells
 	g.cells = nil
 	cellsExecuted.Add(int64(len(cells)))
-	// Resolve intra-cell segmentation for this batch: with fewer cells
-	// than workers, accuracy cells split their captures so the idle
-	// workers help the critical path. Resolution happens here (not per
-	// cell) so the count depends only on the queue length, never on
-	// scheduling order.
-	g.p.segs = g.p.cellSegments(len(cells))
 	items := g.plan(cells)
 	pool.Run(g.workers, len(items), func(i int) {
 		start := time.Now()
@@ -384,15 +378,15 @@ func (p Params) simulateInline(req request) simResult {
 	return res
 }
 
-// solo runs one request alone: accuracy through the segmented kernel,
-// timing through the configured model. col, when non-nil, receives the
+// solo runs one request alone: accuracy through the solo kernel, timing
+// through the configured model. col, when non-nil, receives the
 // run's telemetry.
 func (p Params) solo(req request, col *telemetry.Collector) simResult {
 	cfg := configOf(req.point).Config
 	cfg.Telemetry = col
 	if !req.timing {
 		rep := req.w.ReplayPrefix(p.AccuracyBudget, p.shareBudget())
-		return simResult{acc: sim.RunAccuracySegmentedCtx(p.Context(), rep, p.AccuracyBudget, p.segs, cfg)}
+		return simResult{acc: sim.RunAccuracyCtx(p.Context(), rep, p.AccuracyBudget, cfg)}
 	}
 	rep := req.w.ReplayPrefix(p.TimingBudget, p.shareBudget())
 	if req.event {

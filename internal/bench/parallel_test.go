@@ -28,9 +28,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for _, e := range All() {
 			serial, parallel := base, base
 			serial.Parallel = 1
-			serial.Segments = 1
 			parallel.Parallel = 8
-			parallel.Segments = 4
 			a := e.Run(serial)
 			b := e.Run(parallel)
 			if len(a) != len(b) {

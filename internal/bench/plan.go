@@ -21,8 +21,8 @@ import (
 // Width rule: a group of K members is cut into ceil(K/maxGangWidth)
 // near-equal gangs; then the largest gangs are halved until the
 // experiment has at least min(workers, cells) items, so no worker idles
-// while a wide gang could be split. Width-1 gangs take the solo path
-// (segmented for accuracy). The event model never fuses.
+// while a wide gang could be split. Width-1 gangs take the solo path.
+// The event model never fuses.
 //
 // Ordering rule: a group's dependency members (the BTB-only timing
 // baseline that reduction cells divide by) come first, so they land in

@@ -49,54 +49,20 @@ func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult
 
 // RunAccuracyCtx is RunAccuracy under a context: the loop polls ctx on
 // instruction-count boundaries and stops early with Err set to ctx.Err()
-// when cancelled, returning the partial counts accumulated so far.
-//
-// When factory is a memoized trace.Replay (or pre-decoded trace.Blocks),
-// the run uses the batched decode-once kernel (Engine.Predict/Resolve
-// inlined; pointer-typed predictors still dispatch through the generics
-// dictionary, see kernel.go); results are identical to the streaming loop
-// below, which remains the reference path for arbitrary sources.
+// when cancelled, returning the partial counts accumulated so far. It is
+// RunAccuracyWithFlushesCtx with flushes off, so memoized replays run on
+// the batched decode-once kernel (see kernel.go) and any other factory on
+// the streaming reference loop; the two give identical results.
 func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {
-	if bs, ok := blocksFor(factory); ok {
-		return runAccuracyBlocks(ctx, bs, budget, 0, cfg)
-	}
-	engine := NewEngine(cfg)
-	var res AccuracyResult
-	src := trace.NewLimit(factory.Open(), budget)
-	var r trace.Record
-	for src.Next(&r) {
-		res.Instructions++
-		if res.Instructions&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				res.Err = err
-				return res
-			}
-		}
-		if !r.Class.IsBranch() {
-			continue
-		}
-		res.Branches++
-		p := engine.Predict(&r)
-		correct := p.Correct(&r)
-		switch r.Class {
-		case trace.ClassCondDirect:
-			res.Conditional.Record(correct)
-		case trace.ClassUncondDirect, trace.ClassCall:
-			res.Direct.Record(correct)
-		case trace.ClassReturn:
-			res.Returns.Record(correct)
-		case trace.ClassIndJump, trace.ClassIndCall:
-			res.Indirect.Record(correct)
-			if p.FromTC {
-				res.TCCovered++
-			}
-			// Accuracy runs have no cycle clock; telemetry events are
-			// stamped with the instruction index instead. Nil-safe.
-			engine.Tel.SetClock(res.Instructions)
-		}
-		res.Overall.Record(correct)
-		engine.Resolve(&r, p)
-	}
-	res.Err = trace.SourceErr(src)
-	return res
+	return RunAccuracyWithFlushesCtx(ctx, factory, budget, 0, cfg)
 }
+
+// SegmentStats and SegmentCounters survive only for the perfbench
+// harness, which records them per iteration. Replay is never split into
+// segments, so every counter reads zero.
+type SegmentStats struct {
+	SegmentedRuns, SegmentsExecuted, WarmupInstructions int64
+}
+
+// SegmentCounters returns zero counters; see SegmentStats.
+func SegmentCounters() SegmentStats { return SegmentStats{} }

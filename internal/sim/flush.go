@@ -18,8 +18,10 @@ func RunAccuracyWithFlushes(factory trace.Factory, budget, flushInterval int64, 
 }
 
 // RunAccuracyWithFlushesCtx is RunAccuracyWithFlushes under a context; see
-// RunAccuracyCtx for the cancellation contract. Memoized replays run on
-// the batched decode-once kernel, like RunAccuracyCtx.
+// RunAccuracyCtx for the cancellation contract. Memoized replays (and any
+// other trace.BlockSource) run on the batched decode-once kernel; every
+// other factory runs the streaming loop below, the reference path the
+// kernel is pinned against. flushInterval <= 0 never flushes.
 func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
 	if bs, ok := blocksFor(factory); ok {
 		return runAccuracyBlocks(ctx, bs, budget, flushInterval, cfg)
@@ -57,6 +59,8 @@ func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budge
 			if p.FromTC {
 				res.TCCovered++
 			}
+			// Accuracy runs have no cycle clock; telemetry events are
+			// stamped with the instruction index instead. Nil-safe.
 			engine.Tel.SetClock(res.Instructions)
 		}
 		res.Overall.Record(correct)

@@ -9,9 +9,13 @@ import (
 )
 
 // Batched accuracy kernel: when the trace factory is a decoded replay
-// (the memoized captures every experiment cell runs over), the accuracy
-// drivers switch from the streaming Cursor loop to this kernel. It differs
-// from the generic loop in two ways, neither observable in the results:
+// (the memoized captures every experiment cell runs over) or any other
+// trace.BlockSource, RunAccuracyWithFlushesCtx — and RunAccuracyCtx,
+// which is that driver with flushes off — switches from the streaming
+// loop to this kernel. It always simulates a run from its first record:
+// every predictor structure is a function of the whole branch stream so
+// far, so no run starts mid-trace. It differs from the generic loop in
+// two ways, neither observable in the results:
 //
 //   - Decode-once iteration. Records come from trace.Blocks — the capture
 //     varint-decoded a single time process-wide — and non-branch records
@@ -80,51 +84,41 @@ func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
 // with the predictor calls dispatched through the interfaces.
 func runAccuracyBlocks(ctx context.Context, bs trace.BlockSource, budget, flushInterval int64, cfg Config) AccuracyResult {
 	engine := NewEngine(cfg)
-	return runAccuracyEngine(ctx, bs, 0, budget, flushInterval, engine)
-}
-
-// runAccuracyEngine dispatches an already-constructed engine over records
-// [start, budget); the segmented driver uses start to resume a primed
-// engine at its seam, the plain path passes start = 0.
-func runAccuracyEngine(ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64, engine *Engine) AccuracyResult {
 	switch tc := engine.TC.(type) {
 	case nil:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, noTC{}, noHist{})
+		return accuracyKernel(ctx, bs, budget, flushInterval, engine, noTC{}, noHist{})
 	case *core.Tagless:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
+		return dispatchHist(ctx, bs, budget, flushInterval, engine, tc)
 	case *core.Tagged:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
+		return dispatchHist(ctx, bs, budget, flushInterval, engine, tc)
 	case *core.Cascaded:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
+		return dispatchHist(ctx, bs, budget, flushInterval, engine, tc)
 	case *core.ITTAGE:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
+		return dispatchHist(ctx, bs, budget, flushInterval, engine, tc)
 	case *core.Chooser:
-		return dispatchHist(ctx, bs, start, budget, flushInterval, engine, tc)
+		return dispatchHist(ctx, bs, budget, flushInterval, engine, tc)
 	}
-	return accuracyKernel[core.TargetCache, history.Provider](ctx, bs, start, budget, flushInterval, engine, engine.TC, engine.Hist)
+	return accuracyKernel[core.TargetCache, history.Provider](ctx, bs, budget, flushInterval, engine, engine.TC, engine.Hist)
 }
 
 // dispatchHist instantiates the kernel over the engine's concrete history
 // type for an already-resolved target cache.
-func dispatchHist[TC targetCache](ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64, engine *Engine, tc TC) AccuracyResult {
+func dispatchHist[TC targetCache](ctx context.Context, bs trace.BlockSource, budget, flushInterval int64, engine *Engine, tc TC) AccuracyResult {
 	switch h := engine.Hist.(type) {
 	case history.PatternProvider:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, tc, h)
+		return accuracyKernel(ctx, bs, budget, flushInterval, engine, tc, h)
 	case *history.Path:
-		return accuracyKernel(ctx, bs, start, budget, flushInterval, engine, tc, h)
+		return accuracyKernel(ctx, bs, budget, flushInterval, engine, tc, h)
 	}
-	return accuracyKernel[TC, history.Provider](ctx, bs, start, budget, flushInterval, engine, tc, engine.Hist)
+	return accuracyKernel[TC, history.Provider](ctx, bs, budget, flushInterval, engine, tc, engine.Hist)
 }
 
-// accuracyKernel is the batched, inlined accuracy loop over records
-// [start, budget). tc and hist are the engine's own target cache and
+// accuracyKernel is the batched, inlined accuracy loop over the first
+// budget records. tc and hist are the engine's own target cache and
 // history, passed at their concrete types; engine is retained for Reset
-// (flush intervals) and telemetry. Instruction indices (context polls,
-// flush points, telemetry clocks) are absolute trace positions, so a
-// segment kernel behaves exactly like the same span of a streaming run;
-// res.Instructions counts only the records processed in the span.
+// (flush intervals) and telemetry.
 func accuracyKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, start, budget, flushInterval int64,
+	ctx context.Context, bs trace.BlockSource, budget, flushInterval int64,
 	engine *Engine, tc TC, hist H,
 ) AccuracyResult {
 	var res AccuracyResult
@@ -134,24 +128,16 @@ func accuracyKernel[TC targetCache, H historySource](
 	if limit < 0 {
 		limit = 0
 	}
-	if start < 0 {
-		start = 0
-	}
-	// The block layout invariant (block i covers records [i*BlockLen,
-	// i*BlockLen+len)) lets the kernel seek straight to the seam block.
 	effEnd := limit
 	if clean := bs.CleanLen(); clean < effEnd {
 		effEnd = clean
 	}
-	if start > effEnd {
-		start = effEnd
-	}
-	insns := start
+	var insns int64
 	var r trace.Record
-	for bi := int(start / trace.BlockLen); insns < effEnd; bi++ {
+	for bi := 0; insns < effEnd; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
-			res.Instructions = insns - start
+			res.Instructions = insns
 			res.Err = err
 			return res
 		}
@@ -161,21 +147,17 @@ func accuracyKernel[TC targetCache, H historySource](
 		if rem := effEnd - base; int64(m) > rem {
 			m = int(rem)
 		}
-		lo := 0
-		if base < insns {
-			lo = int(insns - base)
-		}
 		// Reslice the columns to the iteration length once so i < m
 		// proves every access in range (no per-access bounds checks).
 		meta = meta[:m]
 		pcs := blk.PC[:m]
 		tgts := blk.Target[:m]
 		addrs := blk.Addr[:m]
-		for i := lo; i < m; i++ {
+		for i := 0; i < m; i++ {
 			insns = base + int64(i) + 1
 			if insns&ctxCheckMask == 0 {
 				if err := ctx.Err(); err != nil {
-					res.Instructions = insns - start
+					res.Instructions = insns
 					res.Err = err
 					return res
 				}
@@ -276,7 +258,7 @@ func accuracyKernel[TC targetCache, H historySource](
 			}
 		}
 	}
-	res.Instructions = insns - start
+	res.Instructions = insns
 	// The streaming loop surfaces a decode error only when the budget
 	// reaches past the cleanly decoded prefix (a Limit that stops earlier
 	// never touches the damage). Mirror that exactly.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -76,6 +78,38 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 	}
 }
 
+// TestSegmentedOverStore runs the kernel over an out-of-core store, its
+// other BlockSource, whose cache is bounded to three blocks so that it
+// evicts continuously while the file's groups (its segments) stream past:
+// the result must equal the kernel over the in-memory replay.
+func TestSegmentedOverStore(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20 * trace.BlockLen
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	var img bytes.Buffer
+	if _, err := trace.WriteStore(&img, rep.Open(), trace.StoreOptions{Compress: true, GroupRecords: 2 * trace.BlockLen}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := trace.OpenStore(bytes.NewReader(img.Bytes()), int64(img.Len()), 3*trace.BlockLen*(3*8+4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, flush := range []int64{0, 7_777} {
+		cfg := kernelConfigs()["tagged-path"]
+		want := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
+		if got := RunAccuracyWithFlushesCtx(ctx, store, budget, flush, cfg); got != want {
+			t.Fatalf("flush=%d: store run diverges\n  store  %+v\n  memory %+v", flush, got, want)
+		}
+	}
+	if st := store.CacheStats(); st.Evictions == 0 {
+		t.Fatalf("store cache never evicted (stats %+v); cache bound too loose for the test", st)
+	}
+}
+
 // BenchmarkRunAccuracy measures accuracy-simulation throughput over a
 // memoized replay (the batched kernel) for the BTB-only
 // baseline and a target-cache configuration, with the streaming reference
@@ -137,5 +171,46 @@ func TestKernelErrorContract(t *testing.T) {
 		case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
 			t.Errorf("budget %d: error mismatch: kernel %v, generic %v", budget, gotErr, wantErr)
 		}
+		if past := budget > damaged.CleanLen(); errors.Is(gotErr, trace.ErrCorrupt) != past {
+			t.Errorf("budget %d (clean prefix %d): kernel error %v, want trace.ErrCorrupt iff the budget passes the clean prefix", budget, damaged.CleanLen(), gotErr)
+		}
+	}
+}
+
+// TestSegmentedCorruptTail damages only the last bytes of a capture, so
+// a long clean prefix survives. A run whose budget reaches the damage
+// stops at the clean prefix with trace.ErrCorrupt, and its partial
+// counters equal a run over the intact capture cut at that prefix; a run
+// whose budget ends inside the prefix never sees the damage and equals
+// the intact run at the same budget.
+func TestSegmentedCorruptTail(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20 * trace.BlockLen
+	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	buf := rep.Bytes()
+	damaged := trace.NewReplayBytes(buf[:len(buf)-40], rep.Len())
+	clean := damaged.CleanLen()
+	if clean >= rep.Len() || clean < 8*trace.BlockLen {
+		t.Fatalf("clean prefix %d of %d unsuitable for the test", clean, rep.Len())
+	}
+	cfg := kernelConfigs()["tagless-pattern"]
+	ctx := context.Background()
+
+	got := RunAccuracyCtx(ctx, damaged, budget, cfg)
+	if !errors.Is(got.Err, trace.ErrCorrupt) {
+		t.Fatalf("run over damaged capture: err=%v", got.Err)
+	}
+	got.Err = nil
+	if want := RunAccuracyCtx(ctx, rep, clean, cfg); got != want {
+		t.Fatalf("partial counters diverge from the clean-prefix run\n  damaged %+v\n  intact  %+v", got, want)
+	}
+
+	within := (clean / trace.BlockLen) * trace.BlockLen
+	want := RunAccuracyCtx(ctx, rep, within, cfg)
+	if got := RunAccuracyCtx(ctx, damaged, within, cfg); got != want {
+		t.Fatalf("run within the clean prefix diverges\n  damaged %+v\n  intact  %+v", got, want)
 	}
 }

@@ -47,13 +47,13 @@ func TestConcurrentAccuracyOverSharedReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentSegmentedReplay layers both axes of concurrency: several
-// goroutines each run a segment-parallel simulation (which itself spawns
-// one worker per segment) over one shared replay and over one shared
-// out-of-core store whose LRU cache is small enough to evict under load.
-// Under -race this proves segment workers and the store's group cache
-// share no unsynchronized mutable state; the result check proves
-// determinism survives the contention.
+// TestConcurrentSegmentedReplay runs accuracy simulations concurrently,
+// alternately over one shared replay and over one shared out-of-core store
+// whose LRU cache is small enough to evict under load (the store serves a
+// capture in groups, the segments of its file). Under -race this proves
+// the store's group cache shares no unsynchronized mutable state among
+// concurrent readers; the result check proves determinism survives the
+// contention.
 func TestConcurrentSegmentedReplay(t *testing.T) {
 	const budget = 20 * trace.BlockLen
 	w, err := workload.ByName("gcc")
@@ -82,7 +82,7 @@ func TestConcurrentSegmentedReplay(t *testing.T) {
 			if i%2 == 1 {
 				src = store
 			}
-			results[i] = sim.RunAccuracySegmented(src, budget, 2+i%3, sim.DefaultConfig())
+			results[i] = sim.RunAccuracy(src, budget, sim.DefaultConfig())
 		}()
 	}
 	wg.Wait()
@@ -90,5 +90,8 @@ func TestConcurrentSegmentedReplay(t *testing.T) {
 		if res != ref {
 			t.Errorf("goroutine %d: result %+v differs from serial reference %+v", i, res, ref)
 		}
+	}
+	if st := store.CacheStats(); st.Evictions == 0 {
+		t.Fatalf("store cache never evicted (stats %+v); cache bound too loose for the test", st)
 	}
 }

@@ -131,10 +131,6 @@ type RunInfo struct {
 	// executed the VM, hits reused a capture. MemoBytes is the resident
 	// encoded size.
 	MemoCaptures, MemoHits, MemoBytes int64
-	// SegmentedRuns, SegmentsExecuted, and WarmupInstructions describe
-	// segment-parallel replay: runs that split, segments executed, and
-	// instructions replayed purely to warm predictor state before a seam.
-	SegmentedRuns, SegmentsExecuted, WarmupInstructions int64
 	// StoreCacheHits/Misses/Evictions are the out-of-core trace store's
 	// block-group cache counters; SpilledCaptures and SpilledBytes describe
 	// captures spilled to trace-store files instead of held in memory.
@@ -155,12 +151,8 @@ type RunMetrics struct {
 	MemoHits     int64 `json:"memo_hits"`
 	MemoBytes    int64 `json:"memo_bytes"`
 
-	// Segment-parallel replay and out-of-core trace-store counters; all
-	// omitempty so reports from runs that never segment or spill (including
-	// the golden fixtures) are unchanged.
-	SegmentedRuns       int64 `json:"segmented_runs,omitempty"`
-	SegmentsExecuted    int64 `json:"segments_executed,omitempty"`
-	WarmupInstructions  int64 `json:"warmup_instructions,omitempty"`
+	// Out-of-core trace-store counters; omitempty so reports from runs
+	// that never spill (including the golden fixtures) are unchanged.
 	StoreCacheHits      int64 `json:"store_cache_hits,omitempty"`
 	StoreCacheMisses    int64 `json:"store_cache_misses,omitempty"`
 	StoreCacheEvictions int64 `json:"store_cache_evictions,omitempty"`
@@ -229,9 +221,6 @@ func (r *Recorder) Report(info RunInfo) *Report {
 			MemoCaptures:        info.MemoCaptures,
 			MemoHits:            info.MemoHits,
 			MemoBytes:           info.MemoBytes,
-			SegmentedRuns:       info.SegmentedRuns,
-			SegmentsExecuted:    info.SegmentsExecuted,
-			WarmupInstructions:  info.WarmupInstructions,
 			StoreCacheHits:      info.StoreCacheHits,
 			StoreCacheMisses:    info.StoreCacheMisses,
 			StoreCacheEvictions: info.StoreCacheEvictions,
