@@ -16,10 +16,11 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
 // goldenExperiments is the slice of the suite the golden file pins: an
-// accuracy table, a target-cache accuracy table, a timing figure and a
-// no-simulation table, so every kernel family is covered without running
-// the whole suite.
-var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget"}
+// accuracy table, a target-cache accuracy table, a timing figure, a
+// no-simulation table, and the two ablations whose cells vary what a gang
+// shares (flush interval) or splits into lanes (RAS depth), so every
+// kernel family is covered without running the whole suite.
+var goldenExperiments = []string{"table1", "table4", "figures12-13", "budget", "context-switch", "ras"}
 
 // goldenTelemetryHeader separates the golden artifact's experiment tables
 // from its telemetry section.
