@@ -127,12 +127,12 @@ func (g *cellGroup) simCellOf(id cellID, st *cellStatus, sc *simCell) {
 	g.cells = append(g.cells, groupCell{id: id, st: st, sim: sc})
 }
 
-// accuracyCell enqueues the accuracy simulation of pt on w under id; f
-// reduces the result into the returned slot.
-func accuracyCell[T any](g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point, f func(sim.AccuracyResult) T) *slot[T] {
+// accuracyCell enqueues the accuracy simulation req under id; f reduces
+// the result into the returned slot.
+func accuracyCell[T any](g *cellGroup, id cellID, req request, f func(sim.AccuracyResult) T) *slot[T] {
 	s := &slot[T]{}
 	g.simCellOf(id, &s.cellStatus, &simCell{
-		req:  accuracyRequest(w, pt),
+		req:  req,
 		fill: func(r, _ *simResult) { s.val = f(r.acc) },
 	})
 	return s
@@ -141,7 +141,7 @@ func accuracyCell[T any](g *cellGroup, id cellID, w *workload.Workload, pt sweep
 // mispredictCell enqueues an accuracy cell reporting pt's indirect-jump
 // misprediction rate on w.
 func mispredictCell(g *cellGroup, id cellID, w *workload.Workload, pt sweep.Point) *slot[float64] {
-	return accuracyCell(g, id, w, pt, sim.AccuracyResult.IndirectMispredictRate)
+	return accuracyCell(g, id, accuracyRequest(w, pt), sim.AccuracyResult.IndirectMispredictRate)
 }
 
 // timingCell enqueues the simulation of pt on w through the fast timing
@@ -378,7 +378,7 @@ func (p Params) simulateInline(req request) simResult {
 	return res
 }
 
-// solo runs one request alone: accuracy through the solo kernel, timing
+// solo runs one request alone: accuracy as a width-1 gang, timing
 // through the configured model. col, when non-nil, receives the
 // run's telemetry.
 func (p Params) solo(req request, col *telemetry.Collector) simResult {
@@ -386,28 +386,13 @@ func (p Params) solo(req request, col *telemetry.Collector) simResult {
 	cfg.Telemetry = col
 	if !req.timing {
 		rep := req.w.ReplayPrefix(p.AccuracyBudget, p.shareBudget())
-		return simResult{acc: sim.RunAccuracyCtx(p.Context(), rep, p.AccuracyBudget, cfg)}
+		return simResult{acc: sim.RunAccuracyWithFlushesCtx(p.Context(), rep, p.AccuracyBudget, req.flush, cfg)}
 	}
 	rep := req.w.ReplayPrefix(p.TimingBudget, p.shareBudget())
 	if req.event {
 		return simResult{cpu: cpu.NewEvent(req.machine, sim.NewEngine(cfg)).RunCtx(p.Context(), rep.Open(), p.TimingBudget)}
 	}
 	return simResult{cpu: cpu.New(req.machine, sim.NewEngine(cfg)).RunReplayCtx(p.Context(), rep, p.TimingBudget)}
-}
-
-// runAccuracyFlushes is sim.RunAccuracyWithFlushes of pt over the
-// memoized replay.
-func runAccuracyFlushes(w *workload.Workload, p Params, interval int64, pt sweep.Point) sim.AccuracyResult {
-	col := p.startCollector()
-	defer p.mergeCollector(col)
-	cfg := configOf(pt).Config
-	cfg.Telemetry = col
-	res := sim.RunAccuracyWithFlushesCtx(p.Context(), w.ReplayPrefix(p.AccuracyBudget, p.shareBudget()), p.AccuracyBudget, interval, cfg)
-	instructionsSim.Add(res.Instructions)
-	if res.Err != nil {
-		abortCell(res.Err)
-	}
-	return res
 }
 
 // runTraceStats consumes the memoized replay into trace statistics,

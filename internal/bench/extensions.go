@@ -190,14 +190,11 @@ var contextSwitchExperiment = registerExperiment(&Experiment{
 		for i, w := range ws {
 			cells[i] = make([]csCell, len(intervals))
 			for j, interval := range intervals {
-				cells[i][j] = csCell{
-					base: cell(g, cid(w, fmt.Sprintf("btb/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, btbPoint).IndirectMispredictRate()
-					}),
-					tc: cell(g, cid(w, fmt.Sprintf("tc/flush-%d", interval)), func(p Params) float64 {
-						return runAccuracyFlushes(w, p, interval, gsharePoint(9)).IndirectMispredictRate()
-					}),
+				rate := func(config string, pt sweep.Point) *slot[float64] {
+					return accuracyCell(g, cid(w, fmt.Sprintf("%s/flush-%d", config, interval)),
+						request{w: w, point: pt, flush: interval}, sim.AccuracyResult.IndirectMispredictRate)
 				}
+				cells[i][j] = csCell{base: rate("btb", btbPoint), tc: rate("tc", gsharePoint(9))}
 			}
 		}
 		g.run()
@@ -243,7 +240,7 @@ var rasExperiment = registerExperiment(&Experiment{
 				if depth != sim.DefaultConfig().RASDepth {
 					pt.RASDepth = depth
 				}
-				rates[i][j] = accuracyCell(g, cid(w, fmt.Sprintf("ras-%d", depth)), w, pt, func(r sim.AccuracyResult) float64 {
+				rates[i][j] = accuracyCell(g, cid(w, fmt.Sprintf("ras-%d", depth)), accuracyRequest(w, pt), func(r sim.AccuracyResult) float64 {
 					return r.Returns.MispredictRate()
 				})
 			}

@@ -20,12 +20,14 @@ import (
 // most once per suite, and later cells (in the same or a later
 // experiment) read the stored result instead of replaying the capture.
 
-// request is one simulation: point on w through the accuracy model, or,
-// when timing is set, through the timing model on machine — the
-// event-driven model when event is set, the fast one otherwise.
+// request is one simulation: point on w through the accuracy model,
+// with the whole front end reset every flush instructions when flush is
+// positive, or, when timing is set, through the timing model on machine —
+// the event-driven model when event is set, the fast one otherwise.
 type request struct {
 	w       *workload.Workload
 	point   sweep.Point
+	flush   int64
 	timing  bool
 	machine cpu.Config
 	event   bool
@@ -45,12 +47,13 @@ type memoKey struct {
 	workload string
 	budget   int64
 	point    string // sweep.Point.ConfigLabel
+	flush    int64
 	machine  cpu.Config
 	event    bool
 }
 
 func (r request) key(p Params) memoKey {
-	k := memoKey{workload: r.w.Name, budget: p.AccuracyBudget, point: r.point.ConfigLabel()}
+	k := memoKey{workload: r.w.Name, budget: p.AccuracyBudget, point: r.point.ConfigLabel(), flush: r.flush}
 	if r.timing {
 		k.timing, k.budget, k.machine, k.event = true, p.TimingBudget, r.machine, r.event
 	}
@@ -58,16 +61,20 @@ func (r request) key(p Params) memoKey {
 }
 
 // gangGroup is what members of one fused pass must share: the model, the
-// capture, and the front end (or, for timing, the whole machine).
+// capture, and the front end the kernel cannot split into lanes. An
+// accuracy gang fuses members of any BTB and RAS geometry, so its group
+// keys on the direction predictor and the flush interval only; a timing
+// gang shares its whole front end and machine.
 type gangGroup struct {
 	timing, event bool
 	workload      string
 	front         frontEnd
+	flush         int64
 	machine       cpu.Config
 }
 
-// frontEnd is the front-end geometry of a sim.Config: what a fused pass
-// shares across its members.
+// frontEnd is the part of a sim.Config's front end a fused pass shares
+// across its members.
 type frontEnd struct {
 	btb btb.Config
 	ras int
@@ -75,11 +82,14 @@ type frontEnd struct {
 }
 
 func (r request) group() gangGroup {
-	g := gangGroup{timing: r.timing, event: r.event, workload: r.w.Name, machine: r.machine}
+	g := gangGroup{timing: r.timing, event: r.event, workload: r.w.Name, flush: r.flush, machine: r.machine}
 	// An invalid point keeps the zero front end; its cell fails when the
 	// run builds the config.
 	if cfg, err := r.point.SimConfig(); err == nil {
-		g.front = frontEnd{btb: cfg.BTB, ras: cfg.RASDepth, dir: cfg.Dir}
+		g.front.dir = cfg.Dir
+		if r.timing {
+			g.front.btb, g.front.ras = cfg.BTB, cfg.RASDepth
+		}
 	}
 	return g
 }

@@ -12,7 +12,8 @@ import (
 // The cell planner turns an experiment's queue into pool items. Closure
 // cells are items of their own. Simulation cells resolve to members —
 // one per distinct request — and members that share a gang group (model,
-// workload, front end or machine) run as fused passes: one
+// workload, and what the model's gang cannot split into lanes) run as
+// fused passes: one
 // sim.RunAccuracyGangCtx or cpu.RunReplayGang pass per gang, which
 // reports for every member exactly what a solo run would. With a suite
 // memo, requests an earlier cell already simulated are hits: they join no
@@ -325,7 +326,7 @@ func (g *cellGroup) tryGang(ms []*member, cols []*telemetry.Collector) (out []si
 			pts[i].Config.Telemetry = cols[i]
 		}
 		rep := req.w.ReplayPrefix(p.AccuracyBudget, p.shareBudget())
-		res, fused := sim.RunAccuracyGangCtx(p.Context(), rep, p.AccuracyBudget, pts)
+		res, fused := sim.RunAccuracyGangCtx(p.Context(), rep, p.AccuracyBudget, req.flush, pts)
 		for i := range res {
 			out[i].acc = res[i]
 		}

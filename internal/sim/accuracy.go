@@ -50,9 +50,9 @@ func RunAccuracy(factory trace.Factory, budget int64, cfg Config) AccuracyResult
 // RunAccuracyCtx is RunAccuracy under a context: the loop polls ctx on
 // instruction-count boundaries and stops early with Err set to ctx.Err()
 // when cancelled, returning the partial counts accumulated so far. It is
-// RunAccuracyWithFlushesCtx with flushes off, so memoized replays run on
-// the batched decode-once kernel (see kernel.go) and any other factory on
-// the streaming reference loop; the two give identical results.
+// RunAccuracyWithFlushesCtx with flushes off, so memoized replays run as
+// a width-1 fused gang (see gang.go) and any other factory on the
+// streaming reference loop; the two give identical results.
 func RunAccuracyCtx(ctx context.Context, factory trace.Factory, budget int64, cfg Config) AccuracyResult {
 	return RunAccuracyWithFlushesCtx(ctx, factory, budget, 0, cfg)
 }

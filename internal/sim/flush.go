@@ -19,12 +19,12 @@ func RunAccuracyWithFlushes(factory trace.Factory, budget, flushInterval int64, 
 
 // RunAccuracyWithFlushesCtx is RunAccuracyWithFlushes under a context; see
 // RunAccuracyCtx for the cancellation contract. Memoized replays (and any
-// other trace.BlockSource) run on the batched decode-once kernel; every
-// other factory runs the streaming loop below, the reference path the
-// kernel is pinned against. flushInterval <= 0 never flushes.
+// other trace.BlockSource) run as a fused gang of width 1; every other
+// factory runs the streaming loop below, the reference path the gang is
+// pinned against. flushInterval <= 0 never flushes.
 func RunAccuracyWithFlushesCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, cfg Config) AccuracyResult {
-	if bs, ok := blocksFor(factory); ok {
-		return runAccuracyBlocks(ctx, bs, budget, flushInterval, cfg)
+	if res, ok := RunAccuracyGangCtx(ctx, factory, budget, flushInterval, []GangPoint{{Config: cfg}}); ok {
+		return res[0]
 	}
 	engine := NewEngine(cfg)
 	var res AccuracyResult

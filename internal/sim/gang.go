@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/btb"
 	"repro/internal/core"
+	"repro/internal/dirpred"
 	"repro/internal/history"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -13,37 +14,53 @@ import (
 )
 
 // Fused gang replay: one pass over a decoded block stream drives K
-// predictor configurations in lockstep. The sweep engine's grids multiply
-// hundreds of points over the same handful of captures, and before this
-// kernel every point re-traversed its capture end to end; here the
-// traversal — and everything in the front end that evolves identically
-// for every member — happens once per gang instead of once per point.
+// predictor configurations in lockstep. It is the one batched accuracy
+// path: RunAccuracyCtx runs any trace.BlockSource as a gang of width 1,
+// and the streaming loop in flush.go is the reference it is pinned
+// against. The sweep engine's grids multiply hundreds of points over the
+// same handful of captures; here the traversal — and everything in the
+// front end that evolves identically for every member — happens once per
+// gang instead of once per point.
 //
-// What makes fusion sound: the return address stack, the direction
-// predictor and the branch-history registers train purely on the resolved
-// record stream, never on prediction outcomes, so runs differing in their
-// target cache or their BTB hold bit-identical state in those structures
-// at every instruction. The BTB trains on the resolved stream too, but its
-// state depends on its own geometry and update strategy. A gang therefore
-// shares
+// Decode-once iteration: records come from trace.Blocks — the capture
+// varint-decoded a single time process-wide — and non-branch records are
+// skipped with a one-byte class check, never materializing a Record. The
+// kernel inlines Engine.Predict/Engine.Resolve (no Engine calls, one BTB
+// probe per branch per lane) and is instantiated per (target cache,
+// history) type pair. That instantiation does not devirtualize the
+// predictor calls: Go stencils generics per GC shape, and every pointer
+// type argument (*core.Tagless, *core.Tagged, *history.Path, ...) shares
+// the go.shape.*uint8 shape, so those calls still dispatch through the
+// generics dictionary. Not even the struct-typed history.PatternProvider's
+// methods inline into the kernel (Observe is its own profile frame).
+//
+// What makes fusion sound: the direction predictor and the
+// branch-history registers train purely on the resolved record stream,
+// never on prediction outcomes, so runs differing in their target cache,
+// BTB or RAS hold bit-identical state in those structures at every
+// instruction. The BTB and the RAS train on the resolved stream too, but
+// their state depends on their own geometry. A gang therefore shares
 //
 //   - one block iteration: record fields (pc/target/class byte) are read
 //     once per block for the whole gang;
-//   - one RAS and one direction predictor: every member must carry the
-//     same RAS depth and direction-predictor config. RAS.Peek and
-//     dirpred.Predict are pure, so one evaluation per record serves every
-//     member, and training runs once;
+//   - one direction predictor: every member must carry the same
+//     direction-predictor config. dirpred.Predict is pure, so one
+//     evaluation per record serves every member, and training runs once;
 //   - per-scheme history registers: members naming the same HistShare key
 //     provably construct identical providers, so the register is computed
 //     and trained once and its Value is read by every member using that
 //     scheme;
+//   - one flush interval: at every multiple of it the whole gang resets
+//     together, at the position Engine.Reset runs in the streaming loop,
+//     so the shared structures stay exact;
 //
-// and splits the rest into lanes, one per distinct BTB configuration (in
-// first-seen member order). A lane owns its BTB, probed and trained once
-// per record for all of the lane's members, and the lane's skeleton
-// counters. Every suite gang and every sweep target-cache gang runs the
-// paper's baseline BTB and so has a single lane; the sweep's btb family
-// fuses its geometries as one lane per point.
+// and splits the rest into lanes, one per distinct (BTB configuration,
+// RAS depth) pair, in first-seen member order. A lane owns its BTB and
+// RAS, probed and trained once per record for all of the lane's members,
+// and the lane's skeleton counters. Every sweep target-cache gang runs
+// the paper's baseline front end and so has a single lane; the sweep's
+// btb family fuses its geometries and the suite's ras ablation its stack
+// depths as one lane per point.
 //
 // Per member there remains only the target cache itself — flat tables
 // allocated per member, with the member bookkeeping (history index,
@@ -51,17 +68,46 @@ import (
 // on records whose prediction or update actually consults it: indirect
 // jumps and calls, plus the rare record whose stale BTB entry
 // misclassifies it as indirect. A member consults its cache only when its
-// own lane's BTB detects an indirect jump, the rule the solo kernel
+// own lane's BTB detects an indirect jump, the rule Engine.Predict
 // follows. Everything else is accumulated once per lane in the skeleton
 // counters and added into every lane member's result at the end, so the
 // per-record marginal cost of a gang member is zero on the ~95% of
 // branches that never touch a target cache.
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
-// struct-identical to sim.RunAccuracy over the same factory, budget and
-// config. TestGangMatchesSolo, TestGangLanesMatchSolo, FuzzGangMatchesSolo
-// and the sweep package's differential harness pin this at gang widths 1,
-// 4 and K across worker counts.
+// struct-identical to the streaming loop's over the same records, budget,
+// flush interval and config. TestGangMatchesSolo, TestGangLanesMatchSolo,
+// TestKernelMatchesGenericLoop, FuzzGangMatchesSolo and the sweep
+// package's differential harness pin this at gang widths 1, 3 and K
+// across worker counts.
+
+// targetCache is the compile-time constraint for the kernel's target-cache
+// parameter: the hot subset of core.TargetCache.
+type targetCache interface {
+	Predict(pc, hist uint64) (target uint64, ok bool)
+	Update(pc, hist, target uint64)
+	Reset()
+}
+
+// historySource is the hot subset of history.Provider.
+type historySource interface {
+	Value(pc uint64) uint64
+	Observe(r *trace.Record)
+	Reset()
+}
+
+// blocksFor unwraps the decoded-batch representation behind a factory: a
+// memoized Replay (decoded once, cached), an explicit Blocks, or any
+// other BlockSource such as the out-of-core trace.Store.
+func blocksFor(factory trace.Factory) (trace.BlockSource, bool) {
+	switch f := factory.(type) {
+	case *trace.Replay:
+		return f, true
+	case trace.BlockSource:
+		return f, true
+	}
+	return nil, false
+}
 
 // GangPoint is one member of a fused gang: a full simulation config plus
 // an optional history-sharing key.
@@ -87,13 +133,14 @@ type gangMember struct {
 	tcCovered                                int64
 }
 
-// gangLane is one distinct BTB configuration of a gang: its BTB, the
-// skeleton counters of the records on which no target cache of the lane
-// was consulted (their outcome is identical for every member of the
-// lane), and its members — target-cache members members[lo:hi] and the
-// BTB-only members, which share one verdict.
+// gangLane is one distinct (BTB configuration, RAS depth) pair of a
+// gang: its BTB and RAS, the skeleton counters of the records on which no
+// target cache of the lane was consulted (their outcome is identical for
+// every member of the lane), and its members — target-cache members
+// members[lo:hi] and the BTB-only members, which share one verdict.
 type gangLane struct {
 	btb    *btb.BTB
+	ras    *btb.RAS
 	lo, hi int
 
 	cond, direct, returns, indirect, overall stats.Counter
@@ -101,29 +148,50 @@ type gangLane struct {
 	verdict *btbVerdict
 }
 
-// RunAccuracyGang is RunAccuracyGangCtx under context.Background.
+// laneKey is what the members of one lane share.
+type laneKey struct {
+	btb btb.Config
+	ras int
+}
+
+// gang is a fused run's type-independent state: the block stream, the
+// shared direction predictor, the lanes and the members' bookkeeping.
+type gang struct {
+	bs            trace.BlockSource
+	budget, flush int64
+	dir           *dirpred.Predictor
+	lanes         []gangLane
+	members       []gangMember
+	obs           *gangObs // nil when no member carries a collector
+}
+
+// RunAccuracyGang is RunAccuracyGangCtx under context.Background, without
+// flushes.
 func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
-	return RunAccuracyGangCtx(context.Background(), factory, budget, pts)
+	return RunAccuracyGangCtx(context.Background(), factory, budget, 0, pts)
 }
 
 // RunAccuracyGangCtx simulates every member of pts over a single pass of
 // factory's decoded block stream and returns one AccuracyResult per
-// member, in order, each struct-identical to what RunAccuracyCtx would
-// report for that member alone. A member's telemetry collector, when
-// set, receives exactly the calls a solo run would make.
+// member, in order, each struct-identical to what the streaming loop of
+// RunAccuracyWithFlushesCtx reports for that member alone over the same
+// records. A member's telemetry collector, when set, receives exactly the
+// calls that streaming run makes. Every flushInterval instructions the
+// whole gang resets, as Engine.Reset does in the streaming loop;
+// flushInterval <= 0 never flushes.
 //
-// Members may differ in BTB configuration: each distinct btb.Config is a
-// lane with its own BTB. A member without a target cache (a BTB-only
-// config) rides its lane's BTB: its result is the lane's skeleton plus
-// one "BTB verdict" counter set the lane's BTB-only members share,
-// however many there are.
+// Members may differ in BTB configuration and RAS depth: each distinct
+// pair is a lane with its own BTB and RAS. A member without a target
+// cache (a BTB-only config) rides its lane's BTB: its result is the
+// lane's skeleton plus one "BTB verdict" counter set the lane's BTB-only
+// members share, however many there are.
 //
-// The second return is false — and no simulation runs — when the gang
-// cannot be fused: the factory exposes no decoded BlockSource, a member
-// has a target cache but no history, or the members disagree on RAS
-// depth or direction-predictor config. Callers fall back to per-point
-// runs.
-func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64, pts []GangPoint) ([]AccuracyResult, bool) {
+// The second return is false — and no simulation runs — when pts is
+// empty or the gang cannot be fused: the factory exposes no decoded
+// BlockSource, a member has a target cache but no history, or the
+// members disagree on direction-predictor config. Callers fall back to
+// per-point runs.
+func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flushInterval int64, pts []GangPoint) ([]AccuracyResult, bool) {
 	if len(pts) == 0 {
 		return nil, false
 	}
@@ -131,31 +199,27 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 	if !ok {
 		return nil, false
 	}
-	front := pts[0].Config
-	var btbs []btb.Config // one per lane, first-seen order
+	dirCfg := pts[0].Config.Dir
+	var keys []laneKey // one per lane, first-seen order
 	laneOf := make([]int, len(pts))
 	for i, pt := range pts {
 		cfg := pt.Config
 		if cfg.NewTargetCache != nil && cfg.NewHistory == nil {
 			return nil, false
 		}
-		if cfg.RASDepth != front.RASDepth || cfg.Dir != front.Dir {
+		if cfg.Dir != dirCfg {
 			return nil, false
 		}
-		li := slices.Index(btbs, cfg.BTB)
+		k := laneKey{btb: cfg.BTB, ras: cfg.RASDepth}
+		li := slices.Index(keys, k)
 		if li < 0 {
-			li, btbs = len(btbs), append(btbs, cfg.BTB)
+			li, keys = len(keys), append(keys, k)
 		}
 		laneOf[i] = li
 	}
 
-	// The shared RAS and direction predictor, built from the common
-	// config with the per-member structures stripped.
-	front.NewTargetCache, front.NewHistory, front.Telemetry = nil, nil, nil
-	engine := NewEngine(front)
-
+	g := &gang{bs: bs, budget: budget, flush: flushInterval, dir: dirpred.New(dirCfg)}
 	var (
-		members   []gangMember
 		tcs       []core.TargetCache
 		providers []history.Provider
 		obs       gangObs
@@ -163,16 +227,13 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 	)
 	// Target-cache members are laid out lane by lane, so a lane's
 	// members are one contiguous run; memberOf maps each point back.
-	lanes := make([]gangLane, len(btbs))
+	g.lanes = make([]gangLane, len(keys))
 	memberOf := make([]int, len(pts))
 	shared := make(map[string]int32, len(pts))
-	for li := range lanes {
-		ln := &lanes[li]
-		ln.btb = engine.BTB
-		if li > 0 {
-			ln.btb = btb.New(btbs[li])
-		}
-		ln.lo = len(members)
+	for li := range g.lanes {
+		ln := &g.lanes[li]
+		ln.btb, ln.ras = btb.New(keys[li].btb), btb.NewRAS(keys[li].ras)
+		ln.lo = len(g.members)
 		for i, pt := range pts {
 			if laneOf[i] != li {
 				continue
@@ -189,35 +250,34 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 				}
 				continue
 			}
-			memberOf[i] = len(members)
+			memberOf[i] = len(g.members)
 			obs.tels = append(obs.tels, tel)
 			tcs = append(tcs, pt.Config.NewTargetCache())
 			var m gangMember
 			if key := pt.HistShare; key != "" {
 				if idx, ok := shared[key]; ok {
 					m.hist = idx
-					members = append(members, m)
+					g.members = append(g.members, m)
 					continue
 				}
 				shared[key] = int32(len(providers))
 			}
 			m.hist = int32(len(providers))
-			members = append(members, m)
+			g.members = append(g.members, m)
 			providers = append(providers, pt.Config.NewHistory())
 		}
-		ln.hi = len(members)
+		ln.hi = len(g.members)
 	}
 
 	// Only gangs with a collector carry an observer; the rest (every
 	// sweep gang) skip every telemetry call.
-	var o *gangObs
 	if observed {
-		for _, m := range members {
+		for _, m := range g.members {
 			obs.hists = append(obs.hists, m.hist)
 		}
-		o = &obs
+		g.obs = &obs
 	}
-	tcRes, btbRes := dispatchGangTC(ctx, bs, budget, engine, lanes, members, tcs, providers, o)
+	tcRes, btbRes := dispatchGangTC(ctx, g, tcs, providers)
 	out := make([]AccuracyResult, len(pts))
 	for i := range pts {
 		if mi := memberOf[i]; mi >= 0 {
@@ -232,42 +292,37 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget int64
 // dispatchGangTC instantiates the kernel over the members' concrete
 // target-cache type when the gang is family-homogeneous. Grid expansion
 // emits points family by family, so shards — and the gangs cut from them
-// — mix families only at grid boundaries; the rare mixed gang takes the
-// interface-typed instantiation of the same kernel. As in the solo
-// kernel, pointer-typed caches share one GC shape, so the per-member
-// Predict/Update calls still go through the generics dictionary.
-func dispatchGangTC(
-	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
-	members []gangMember, tcs []core.TargetCache, providers []history.Provider, obs *gangObs,
-) ([]AccuracyResult, []AccuracyResult) {
+// — mix families only at grid boundaries; the rare mixed gang, and a
+// cache outside the switch (the chooser, the last-target table), takes
+// the interface-typed instantiation of the same kernel. Pointer-typed
+// caches share one GC shape, so the per-member Predict/Update calls still
+// go through the generics dictionary.
+func dispatchGangTC(ctx context.Context, g *gang, tcs []core.TargetCache, providers []history.Provider) ([]AccuracyResult, []AccuracyResult) {
 	switch {
 	case allOf[*core.Tagless](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Tagless](tcs), providers, obs)
+		return dispatchGangHist(ctx, g, cast[*core.Tagless](tcs), providers)
 	case allOf[*core.Tagged](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Tagged](tcs), providers, obs)
+		return dispatchGangHist(ctx, g, cast[*core.Tagged](tcs), providers)
 	case allOf[*core.Cascaded](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.Cascaded](tcs), providers, obs)
+		return dispatchGangHist(ctx, g, cast[*core.Cascaded](tcs), providers)
 	case allOf[*core.ITTAGE](tcs):
-		return dispatchGangHist(ctx, bs, budget, engine, lanes, members, cast[*core.ITTAGE](tcs), providers, obs)
+		return dispatchGangHist(ctx, g, cast[*core.ITTAGE](tcs), providers)
 	}
-	return dispatchGangHist(ctx, bs, budget, engine, lanes, members, tcs, providers, obs)
+	return dispatchGangHist(ctx, g, tcs, providers)
 }
 
 // dispatchGangHist monomorphizes over the providers' concrete type for an
 // already-resolved target-cache type. The sweep groups gangs by history
 // scheme, so gangs are history-homogeneous in practice; heterogeneous
 // gangs take the interface-typed instantiation.
-func dispatchGangHist[TC targetCache](
-	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
-	members []gangMember, tcs []TC, providers []history.Provider, obs *gangObs,
-) ([]AccuracyResult, []AccuracyResult) {
+func dispatchGangHist[TC targetCache](ctx context.Context, g *gang, tcs []TC, providers []history.Provider) ([]AccuracyResult, []AccuracyResult) {
 	if hs, ok := homogeneous[history.PatternProvider](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, hs, obs)
+		return gangKernel(ctx, g, tcs, hs)
 	}
 	if hs, ok := homogeneous[*history.Path](providers); ok {
-		return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, hs, obs)
+		return gangKernel(ctx, g, tcs, hs)
 	}
-	return gangKernel(ctx, bs, budget, engine, lanes, members, tcs, providers, obs)
+	return gangKernel(ctx, g, tcs, providers)
 }
 
 // homogeneous converts the provider slice to its concrete element type
@@ -368,21 +423,20 @@ func (o *gangObs) sharedIndirect(ln *gangLane, insns int64, r *trace.Record, phV
 	}
 }
 
-// gangKernel is the fused accuracy loop. It mirrors accuracyKernel record
-// for record — same context-poll positions, same lean materialization,
-// same clean-prefix error contract — with the per-branch work split into
-// a shared part (direction prediction, history values, RAS, direction and
-// history training: run once), a per-lane skeleton (BTB probe, shared
-// outcome, BTB training: run once per lane) and a per-member tail (run
-// only when the member's lane consults its target cache). It returns the
-// target-cache members' results in order plus, per lane, the result every
-// BTB-only member of the lane shares.
-func gangKernel[TC targetCache, H historySource](
-	ctx context.Context, bs trace.BlockSource, budget int64, engine *Engine, lanes []gangLane,
-	members []gangMember, tcs []TC, hists []H, obs *gangObs,
-) ([]AccuracyResult, []AccuracyResult) {
+// gangKernel is the fused accuracy loop, record for record the streaming
+// loop's sequence — same context-poll and flush positions, same
+// clean-prefix error contract — with lean materialization and the
+// per-branch work split into a shared part (direction prediction, history
+// values, direction and history training: run once), a per-lane skeleton
+// (BTB probe, RAS, shared outcome, BTB and RAS training: run once per
+// lane) and a per-member tail (run only when the member's lane consults
+// its target cache). It returns the target-cache members' results in
+// order plus, per lane, the result every BTB-only member of the lane
+// shares.
+func gangKernel[TC targetCache, H historySource](ctx context.Context, g *gang, tcs []TC, hists []H) ([]AccuracyResult, []AccuracyResult) {
+	bs, budget, flush := g.bs, g.budget, g.flush
+	dir, lanes, members, obs := g.dir, g.lanes, g.members, g.obs
 	var branches int64
-	ras, dir := engine.RAS, engine.Dir
 	phVals := make([]uint64, len(hists))
 
 	limit := budget
@@ -398,7 +452,8 @@ func gangKernel[TC targetCache, H historySource](
 
 	// finish assembles the per-member results: the lane's skeleton plus
 	// each member's divergence counters, every member reporting the same
-	// instruction count and error a solo run stopped at this record would.
+	// instruction count and error a streaming run stopped at this record
+	// would.
 	finish := func(err error) ([]AccuracyResult, []AccuracyResult) {
 		assemble := func(ln *gangLane, cond, direct, returns, indirect, overall stats.Counter, tcCovered int64) AccuracyResult {
 			mr := AccuracyResult{
@@ -450,6 +505,9 @@ func gangKernel[TC targetCache, H historySource](
 					return finish(err)
 				}
 			}
+			if flush > 0 && insns%flush == 0 {
+				resetGang(dir, lanes, tcs, hists)
+			}
 			mb := meta[i]
 			cls := trace.Class(mb & trace.MetaClassMask)
 			if cls == trace.ClassOther {
@@ -466,8 +524,8 @@ func gangKernel[TC targetCache, H historySource](
 			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
 			// Value is pure and providers are not trained until the
 			// resolve phase below, so one read per scheme serves every
-			// member of every lane — the same value a solo run would see.
-			// Indirect records need it for training; any other record
+			// member of every lane — the same value a streaming run would
+			// see. Indirect records need it for training; any other record
 			// only when some lane consults its target caches.
 			phFresh := indirectCls
 			if phFresh {
@@ -495,8 +553,8 @@ func gangKernel[TC targetCache, H historySource](
 				}
 				// perMember: the prediction consults the target cache, so
 				// the outcome can differ per member. This keys on the
-				// lane's BTB's *detected* class, exactly like the solo
-				// kernels.
+				// lane's BTB's *detected* class, exactly like
+				// Engine.Predict.
 				if hit && pTaken && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall) {
 					if !phFresh {
 						readHists(hists, phVals, r.PC)
@@ -539,7 +597,7 @@ func gangKernel[TC targetCache, H historySource](
 					if hit && pTaken {
 						switch entry.Class {
 						case trace.ClassReturn:
-							if addr, ok := ras.Peek(); ok {
+							if addr, ok := ln.ras.Peek(); ok {
 								pTarget, pHasTarget = addr, true
 							}
 						default:
@@ -562,7 +620,14 @@ func gangKernel[TC targetCache, H historySource](
 					}
 					ln.overall.Record(correct)
 				}
-				// Only this lane reads its BTB, so it trains right away.
+				// Only this lane reads its BTB and RAS, so both train
+				// right away.
+				if cls == trace.ClassCall || cls == trace.ClassIndCall {
+					ln.ras.Push(r.FallThrough())
+				}
+				if cls == trace.ClassReturn {
+					ln.ras.Pop()
+				}
 				if hit {
 					ln.btb.UpdateHit(bref, &r)
 				} else {
@@ -571,17 +636,11 @@ func gangKernel[TC targetCache, H historySource](
 			}
 
 			// ---- resolve: per-member target-cache training, then the
-			// shared structures, in the solo kernels' exact order ----
+			// shared structures ----
 			if indirectCls {
 				for mi := range members {
 					tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
 				}
-			}
-			if cls == trace.ClassCall || cls == trace.ClassIndCall {
-				ras.Push(r.FallThrough())
-			}
-			if cls == trace.ClassReturn {
-				ras.Pop()
 			}
 			if cls == trace.ClassCondDirect {
 				dir.Update(r.PC, r.Taken)
@@ -592,8 +651,9 @@ func gangKernel[TC targetCache, H historySource](
 		}
 	}
 	var tailErr error
-	// Same clean-prefix contract as the solo kernels: damage past the
-	// budget is never surfaced.
+	// The streaming loop surfaces a decode error only when the budget
+	// reaches past the cleanly decoded prefix (a Limit that stops earlier
+	// never touches the damage). Mirror that exactly.
 	if limit > bs.CleanLen() {
 		tailErr = bs.TailErr()
 	}
@@ -604,5 +664,21 @@ func gangKernel[TC targetCache, H historySource](
 func readHists[H historySource](hists []H, phVals []uint64, pc uint64) {
 	for pi := range hists {
 		phVals[pi] = hists[pi].Value(pc)
+	}
+}
+
+// resetGang clears every predictor structure of the gang at a flush
+// boundary, as Engine.Reset does for a streaming run.
+func resetGang[TC targetCache, H historySource](dir *dirpred.Predictor, lanes []gangLane, tcs []TC, hists []H) {
+	dir.Reset()
+	for li := range lanes {
+		lanes[li].btb.Reset()
+		lanes[li].ras.Reset()
+	}
+	for i := range tcs {
+		tcs[i].Reset()
+	}
+	for i := range hists {
+		hists[i].Reset()
 	}
 }

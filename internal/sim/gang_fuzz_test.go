@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -100,10 +101,13 @@ func fuzzTrace(data []byte) ([]trace.Record, int64) {
 	return recs, int64(len(recs)+16) * frac / 0xffff
 }
 
-// fuzzGang is a mixed-lane gang over a small RAS: two BTB geometries small
-// enough to thrash, each under both update strategies, as BTB-only
-// members, plus a tagless member on the first lane and a tagged member on
-// the last. The tagless member and one BTB-only member carry collectors.
+// fuzzGang is a mixed-lane gang over small RASes: two BTB geometries
+// small enough to thrash, each under both update strategies, as BTB-only
+// members at RAS depth 8, plus a tagless member on the first lane and a
+// tagged member on the last, then the first geometry again at RAS depth
+// 2 as a lane of its own, carrying a BTB-only and a tagless member. The
+// first tagless member, one BTB-only member and the depth-2 tagless
+// member carry collectors.
 func fuzzGang() []GangPoint {
 	var pts []GangPoint
 	for _, geom := range []btb.Config{{Sets: 4, Ways: 2}, {Sets: 16, Ways: 1}} {
@@ -114,11 +118,13 @@ func fuzzGang() []GangPoint {
 			pts = append(pts, GangPoint{Config: cfg})
 		}
 	}
-	tagless := pts[0].Config.WithTargetCache(
-		func() core.TargetCache {
-			return core.NewTagless(core.TaglessConfig{Entries: 16, Scheme: core.SchemeGshare})
-		},
-		func() history.Provider { return history.NewPatternProvider(4) })
+	withTagless := func(cfg Config) Config {
+		return cfg.WithTargetCache(
+			func() core.TargetCache {
+				return core.NewTagless(core.TaglessConfig{Entries: 16, Scheme: core.SchemeGshare})
+			},
+			func() history.Provider { return history.NewPatternProvider(4) })
+	}
 	tagged := pts[3].Config.WithTargetCache(
 		func() core.TargetCache {
 			return core.NewTagged(core.TaggedConfig{Entries: 16, Ways: 2, HistBits: 6})
@@ -126,35 +132,45 @@ func fuzzGang() []GangPoint {
 		func() history.Provider {
 			return history.NewPath(history.PathConfig{Bits: 6, BitsPerTarget: 2, AddrBitOffset: 2, Filter: history.FilterIndJmp})
 		})
-	pts = append(pts, GangPoint{Config: tagless}, GangPoint{Config: tagged})
-	for _, i := range []int{1, 4} {
+	shallow := pts[0].Config
+	shallow.RASDepth = 2
+	pts = append(pts, GangPoint{Config: withTagless(pts[0].Config)}, GangPoint{Config: tagged},
+		GangPoint{Config: shallow}, GangPoint{Config: withTagless(shallow)})
+	for _, i := range []int{1, 4, 7} {
 		pts[i].Config.Telemetry = telemetry.NewCollector(telemetry.Config{Events: 4})
 	}
 	return pts
 }
 
+// fuzzFlush decodes a fuzz byte into the gang's flush interval: 0 never
+// flushes, and the square spreads the rest from every record to past the
+// longest fuzz trace.
+func fuzzFlush(b byte) int64 { return int64(b) * int64(b) }
+
 // FuzzGangMatchesSolo checks the gang equivalence contract on arbitrary
-// record streams: every member of a mixed-lane gang reports exactly what
-// its solo run reports, collectors included.
+// record streams and flush intervals: every member of a mixed-lane gang
+// reports exactly what the streaming loop reports for it alone,
+// collectors included.
 func FuzzGangMatchesSolo(f *testing.F) {
-	f.Add([]byte{0xff, 0xff, 0x61, 0x62, 0x63, 0xdf, 0xc5})       // indirect jumps, an all-indirect run
-	f.Add([]byte{0x80, 0x00, 0xfe, 0xe4, 0x00, 0x7f})             // hot sites with hundreds of targets
-	f.Add([]byte{0xc0, 0x00, 0xff, 0x22, 0x33, 0x85, 0xa5, 0xfb}) // deep call chains
-	f.Add([]byte{0x55, 0x55, 0x1f, 0x31, 0x52, 0x65, 0x92, 0x41, 0xa3, 0x1f, 0xc9, 0x3f, 0xe6})
-	f.Add([]byte{0xfa, 0x30, 0xe4, 0xff, 0x85, 0xa5, 0x85, 0xa5}) // stale indirect entries on call and return sites
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0xff, 0xff, 0x61, 0x62, 0x63, 0xdf, 0xc5}, byte(0))       // indirect jumps, an all-indirect run
+	f.Add([]byte{0x80, 0x00, 0xfe, 0xe4, 0x00, 0x7f}, byte(9))             // hot sites with hundreds of targets
+	f.Add([]byte{0xc0, 0x00, 0xff, 0x22, 0x33, 0x85, 0xa5, 0xfb}, byte(0)) // deep call chains
+	f.Add([]byte{0x55, 0x55, 0x1f, 0x31, 0x52, 0x65, 0x92, 0x41, 0xa3, 0x1f, 0xc9, 0x3f, 0xe6}, byte(3))
+	f.Add([]byte{0xfa, 0x30, 0xe4, 0xff, 0x85, 0xa5, 0x85, 0xa5}, byte(0)) // stale indirect entries on call and return sites
+	f.Fuzz(func(t *testing.T, data []byte, flushByte byte) {
 		recs, budget := fuzzTrace(data)
+		flush := fuzzFlush(flushByte)
 		rep := trace.Capture(trace.NewSliceSource(recs))
 		pts := fuzzGang()
-		got, ok := RunAccuracyGang(rep, budget, pts)
+		got, ok := RunAccuracyGangCtx(context.Background(), rep, budget, flush, pts)
 		if !ok {
 			t.Fatal("gang refused to fuse")
 		}
 		solo := fuzzGang()
 		for i, pt := range solo {
-			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
-				t.Errorf("member %d (BTB %+v) diverges from solo at budget %d of %d\n  gang %+v\n  solo %+v",
-					i, pt.Config.BTB, budget, len(recs), got[i], want)
+			if want := RunAccuracyWithFlushes(opaqueFactory{rep}, budget, flush, pt.Config); got[i] != want {
+				t.Errorf("member %d (BTB %+v, RAS %d) diverges from solo at budget %d of %d, flush %d\n  gang %+v\n  solo %+v",
+					i, pt.Config.BTB, pt.Config.RASDepth, budget, len(recs), flush, got[i], want)
 			}
 			if !reflect.DeepEqual(pts[i].Config.Telemetry, pt.Config.Telemetry) {
 				t.Errorf("member %d: collector differs from the solo run's", i)

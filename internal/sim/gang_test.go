@@ -53,9 +53,10 @@ func gangPoints() []GangPoint {
 }
 
 // TestGangMatchesSolo pins the fused kernel's equivalence contract: every
-// member of a gang reports an AccuracyResult struct-identical to a solo
-// RunAccuracy of the same config, at gang widths 1, a mixed prefix, and
-// the full history-heterogeneous set.
+// member of a gang reports an AccuracyResult struct-identical to the
+// streaming reference loop's run of the same config, at gang widths 1, a
+// mixed prefix, and the full history-heterogeneous set, without flushes
+// and with a flush interval the whole gang shares.
 func TestGangMatchesSolo(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -63,25 +64,25 @@ func TestGangMatchesSolo(t *testing.T) {
 	}
 	const budget = 60_000
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
+	ctx := context.Background()
 	pts := gangPoints()
-	solo := make([]AccuracyResult, len(pts))
-	for i, pt := range pts {
-		solo[i] = RunAccuracy(rep, budget, pt.Config)
-	}
-	for _, width := range []int{1, 3, len(pts)} {
-		for lo := 0; lo < len(pts); lo += width {
-			hi := lo + width
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			got, ok := RunAccuracyGang(rep, budget, pts[lo:hi])
-			if !ok {
-				t.Fatalf("width %d members [%d,%d): gang refused to fuse", width, lo, hi)
-			}
-			for i, res := range got {
-				if res != solo[lo+i] {
-					t.Errorf("width %d member %d diverges from solo run\n  gang %+v\n  solo %+v",
-						width, lo+i, res, solo[lo+i])
+	for _, flush := range []int64{0, 7_777} {
+		solo := make([]AccuracyResult, len(pts))
+		for i, pt := range pts {
+			solo[i] = RunAccuracyWithFlushes(opaqueFactory{rep}, budget, flush, pt.Config)
+		}
+		for _, width := range []int{1, 3, len(pts)} {
+			for lo := 0; lo < len(pts); lo += width {
+				hi := min(lo+width, len(pts))
+				got, ok := RunAccuracyGangCtx(ctx, rep, budget, flush, pts[lo:hi])
+				if !ok {
+					t.Fatalf("flush %d width %d members [%d,%d): gang refused to fuse", flush, width, lo, hi)
+				}
+				for i, res := range got {
+					if res != solo[lo+i] {
+						t.Errorf("flush %d width %d member %d diverges from solo run\n  gang %+v\n  solo %+v",
+							flush, width, lo+i, res, solo[lo+i])
+					}
 				}
 			}
 		}
@@ -112,8 +113,9 @@ func withBTB(c btb.Config) Config {
 
 // lanePoints builds a multi-lane gang: one BTB-only member per geometry
 // of grid, a tagless member first (on grid[1]'s lane, which it opens), a
-// tagged member mid-gang on the lane of grid's second-to-last geometry,
-// and a second BTB-only member on grid[0]'s lane at the end.
+// tagged member mid-gang on the lane of grid's second-to-last geometry, a
+// second BTB-only member on grid[0]'s lane, and last a BTB-only member on
+// grid[0]'s geometry with a 2-deep RAS, a lane of its own.
 func lanePoints(grid []btb.Config) []GangPoint {
 	tagless := GangPoint{Config: withBTB(grid[1]).WithTargetCache(
 		func() core.TargetCache {
@@ -134,15 +136,18 @@ func lanePoints(grid []btb.Config) []GangPoint {
 		}
 		pts = append(pts, GangPoint{Config: withBTB(c)})
 	}
-	return append(pts, GangPoint{Config: withBTB(grid[0])})
+	shallow := withBTB(grid[0])
+	shallow.RASDepth = 2
+	return append(pts, GangPoint{Config: withBTB(grid[0])}, GangPoint{Config: shallow})
 }
 
 // TestGangLanesMatchSolo extends the equivalence contract to gangs whose
-// members differ in BTB configuration: the sweep's 36 BTB geometries as
-// 36 lanes, with target-cache members on two different lanes and
-// BTB-only members carrying collectors. Every result is struct-identical
-// to a solo run and every collector deep-equal to its solo run's, at
-// widths 1, 3 and full.
+// members differ in BTB configuration and RAS depth: the sweep's 36 BTB
+// geometries as 36 lanes plus a shallow-RAS lane, with target-cache
+// members on two different lanes and BTB-only members carrying
+// collectors. Every result is struct-identical to the streaming loop's
+// and every collector deep-equal to its streaming run's, at widths 1, 3
+// and full.
 func TestGangLanesMatchSolo(t *testing.T) {
 	for _, name := range []string{"perl", "gcc"} {
 		t.Run(name, func(t *testing.T) {
@@ -168,7 +173,7 @@ func TestGangLanesMatchSolo(t *testing.T) {
 			solo, soloCols := mk()
 			want := make([]AccuracyResult, len(solo))
 			for i, pt := range solo {
-				want[i] = RunAccuracyCtx(context.Background(), rep, budget, pt.Config)
+				want[i] = RunAccuracyCtx(context.Background(), opaqueFactory{rep}, budget, pt.Config)
 			}
 			for _, width := range []int{1, 3, len(solo)} {
 				pts, cols := mk()
@@ -224,7 +229,8 @@ func TestGangSharedHistoryMatchesPrivate(t *testing.T) {
 }
 
 // TestGangFallbackConditions enumerates every condition under which the
-// gang must refuse to fuse and hand the caller back to per-point runs.
+// gang must refuse to fuse and hand the caller back to per-point runs,
+// and the member differences it must fuse.
 func TestGangFallbackConditions(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -244,13 +250,13 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused over a factory with no BlockSource")
 		}
 	})
-	t.Run("front-end-mismatch", func(t *testing.T) {
+	t.Run("tc-without-history", func(t *testing.T) {
 		pts := append([]GangPoint(nil), base...)
-		cfg := pts[1].Config
-		cfg.RASDepth = 8
-		pts[1].Config = cfg
+		cfg := pts[3].Config
+		cfg.NewHistory = nil
+		pts[3].Config = cfg
 		if _, ok := RunAccuracyGang(rep, budget, pts); ok {
-			t.Error("gang fused members with different RAS depths")
+			t.Error("gang fused a target-cache member without a history")
 		}
 	})
 	t.Run("dirpred-mismatch", func(t *testing.T) {
@@ -262,30 +268,35 @@ func TestGangFallbackConditions(t *testing.T) {
 			t.Error("gang fused members with different direction predictors")
 		}
 	})
-	// A BTB mismatch is not a reason to refuse: the member opens
-	// a lane of its own.
-	t.Run("btb-mismatch-fuses", func(t *testing.T) {
-		pts := append([]GangPoint(nil), base...)
-		cfg := pts[1].Config
-		cfg.BTB.Ways = 2
-		pts[1].Config = cfg
-		got, ok := RunAccuracyGang(rep, budget, pts)
-		if !ok {
-			t.Fatal("gang refused members that differ only in BTB configuration")
-		}
-		for i, pt := range pts {
-			if want := RunAccuracy(rep, budget, pt.Config); got[i] != want {
-				t.Errorf("member %d diverges from solo\n  gang %+v\n  solo %+v", i, got[i], want)
+	// Neither a BTB nor a RAS mismatch is a reason to refuse: the member
+	// opens a lane of its own.
+	for name, mutate := range map[string]func(*Config){
+		"btb-mismatch-fuses": func(cfg *Config) { cfg.BTB.Ways = 2 },
+		"ras-mismatch-fuses": func(cfg *Config) { cfg.RASDepth = 8 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			pts := append([]GangPoint(nil), base...)
+			cfg := pts[1].Config
+			mutate(&cfg)
+			pts[1].Config = cfg
+			got, ok := RunAccuracyGang(rep, budget, pts)
+			if !ok {
+				t.Fatal("gang refused members that differ only in their lane")
 			}
-		}
-	})
+			for i, pt := range pts {
+				if want := RunAccuracy(opaqueFactory{rep}, budget, pt.Config); got[i] != want {
+					t.Errorf("member %d diverges from solo\n  gang %+v\n  solo %+v", i, got[i], want)
+				}
+			}
+		})
+	}
 }
 
 // TestGangBTBOnlyAndTelemetryMatchSolo extends the equivalence contract to
 // the two member kinds the suite adds: BTB-only members riding the gang's
 // front end, and members carrying telemetry collectors. Every result is
-// struct-identical to a solo run and every collector deep-equal to the
-// collector of that solo run, at widths 1 and full.
+// struct-identical to the streaming loop's and every collector deep-equal
+// to the collector of that streaming run, at widths 1 and full.
 func TestGangBTBOnlyAndTelemetryMatchSolo(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -309,7 +320,7 @@ func TestGangBTBOnlyAndTelemetryMatchSolo(t *testing.T) {
 	solo, soloCols := mk(true)
 	want := make([]AccuracyResult, len(solo))
 	for i, pt := range solo {
-		want[i] = RunAccuracy(rep, budget, pt.Config)
+		want[i] = RunAccuracy(opaqueFactory{rep}, budget, pt.Config)
 	}
 	for _, withTel := range []bool{false, true} {
 		for _, width := range []int{1, len(solo)} {
@@ -347,8 +358,8 @@ func gangShapes() map[string][]GangPoint {
 }
 
 // TestGangErrorContract pins the fused kernel's corrupt-replay behaviour
-// against solo runs: same partial counters per member, and the same
-// ErrCorrupt surfaced only when the budget reaches past the cleanly
+// against the streaming loop: same partial counters per member, and the
+// same ErrCorrupt surfaced only when the budget reaches past the cleanly
 // decoded prefix.
 func TestGangErrorContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
@@ -365,7 +376,7 @@ func TestGangErrorContract(t *testing.T) {
 				t.Fatalf("%s budget %d: gang refused to fuse", shape, budget)
 			}
 			for i, pt := range pts {
-				want := RunAccuracy(damaged, budget, pt.Config)
+				want := RunAccuracy(opaqueFactory{damaged}, budget, pt.Config)
 				gotErr, wantErr := got[i].Err, want.Err
 				got[i].Err, want.Err = nil, nil
 				if got[i] != want {
@@ -382,7 +393,8 @@ func TestGangErrorContract(t *testing.T) {
 }
 
 // TestGangCancellation pins partial results under a cancelled context:
-// every member stops at the same poll boundary a solo run stops at.
+// every member stops at the same poll boundary the streaming loop stops
+// at.
 func TestGangCancellation(t *testing.T) {
 	w, err := workload.ByName("perl")
 	if err != nil {
@@ -393,12 +405,12 @@ func TestGangCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for shape, pts := range gangShapes() {
-		got, ok := RunAccuracyGangCtx(ctx, rep, budget, pts)
+		got, ok := RunAccuracyGangCtx(ctx, rep, budget, 0, pts)
 		if !ok {
 			t.Fatalf("%s: gang refused to fuse", shape)
 		}
 		for i, pt := range pts {
-			want := RunAccuracyCtx(ctx, rep, budget, pt.Config)
+			want := RunAccuracyCtx(ctx, opaqueFactory{rep}, budget, pt.Config)
 			if got[i].Err != context.Canceled || want.Err != context.Canceled {
 				t.Fatalf("%s member %d: expected context.Canceled, gang %v solo %v", shape, i, got[i].Err, want.Err)
 			}
@@ -411,8 +423,9 @@ func TestGangCancellation(t *testing.T) {
 }
 
 // BenchmarkGangVsSolo measures the fused kernel's amortization: one pass
-// updating 8 tagless configs against 8 separate solo passes, and one pass
-// over the sweep's 36 BTB geometries (36 lanes) against 36 solo passes.
+// updating 8 tagless configs against 8 separate width-1 passes, and one
+// pass over the sweep's 36 BTB geometries (36 lanes) against 36 width-1
+// passes.
 func BenchmarkGangVsSolo(b *testing.B) {
 	const budget = 1_000_000
 	w, err := workload.ByName("gcc")

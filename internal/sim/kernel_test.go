@@ -12,14 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
-// opaqueFactory hides a capture's concrete type from RunAccuracyCtx's
-// dispatch, forcing the streaming reference loop over the same records the
-// batched kernel consumes.
+// opaqueFactory hides a capture's BlockSource from RunAccuracyCtx, forcing
+// the streaming reference loop over the same records the fused gang
+// consumes.
 type opaqueFactory struct{ rep trace.Factory }
 
 func (f opaqueFactory) Open() trace.Source { return f.rep.Open() }
 
-// kernelConfigs covers every dispatch arm in runAccuracyBlocks: the
+// kernelConfigs covers every dispatch arm a width-1 gang takes: the
 // BTB-only baseline, each instantiated (target cache, history) pairing,
 // and a cache outside the switch that lands on the interface-typed
 // fallback instantiation.
@@ -55,8 +55,8 @@ func kernelConfigs() map[string]Config {
 	}
 }
 
-// TestKernelMatchesGenericLoop pins the batched accuracy
-// kernel against the streaming reference loop: identical AccuracyResult,
+// TestKernelMatchesGenericLoop pins the batched accuracy path (a width-1
+// gang) against the streaming reference loop: identical AccuracyResult,
 // field for field, for every dispatch arm, with and without periodic
 // flushes.
 func TestKernelMatchesGenericLoop(t *testing.T) {
@@ -68,7 +68,7 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 	rep := trace.Capture(trace.NewLimit(w.Open(), budget))
 	ctx := context.Background()
 	for name, cfg := range kernelConfigs() {
-		for _, flush := range []int64{0, 7_777} {
+		for _, flush := range []int64{0, 1_000, 7_777} {
 			got := RunAccuracyWithFlushesCtx(ctx, rep, budget, flush, cfg)
 			want := RunAccuracyWithFlushesCtx(ctx, opaqueFactory{rep}, budget, flush, cfg)
 			if got != want {
@@ -78,10 +78,10 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 	}
 }
 
-// TestSegmentedOverStore runs the kernel over an out-of-core store, its
-// other BlockSource, whose cache is bounded to three blocks so that it
-// evicts continuously while the file's groups (its segments) stream past:
-// the result must equal the kernel over the in-memory replay.
+// TestSegmentedOverStore runs the batched path over an out-of-core store,
+// its other BlockSource, whose cache is bounded to three blocks so that
+// it evicts continuously while the file's groups (its segments) stream
+// past: the result must equal the batched path over the in-memory replay.
 func TestSegmentedOverStore(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -111,9 +111,9 @@ func TestSegmentedOverStore(t *testing.T) {
 }
 
 // BenchmarkRunAccuracy measures accuracy-simulation throughput over a
-// memoized replay (the batched kernel) for the BTB-only
-// baseline and a target-cache configuration, with the streaming reference
-// loop alongside for comparison.
+// memoized replay (a width-1 gang) for the BTB-only baseline and a
+// target-cache configuration, with the streaming reference loop alongside
+// for comparison.
 func BenchmarkRunAccuracy(b *testing.B) {
 	const budget = 1_000_000
 	w, err := workload.ByName("gcc")
@@ -144,8 +144,8 @@ func BenchmarkRunAccuracy(b *testing.B) {
 	}
 }
 
-// TestKernelErrorContract pins the kernel's corrupt-replay behaviour
-// against the streaming loop: same partial counters, and the same
+// TestKernelErrorContract pins the batched path's corrupt-replay
+// behaviour against the streaming loop: same partial counters, and the same
 // ErrCorrupt surfaced only when the budget reaches past the cleanly
 // decoded prefix.
 func TestKernelErrorContract(t *testing.T) {

@@ -1,10 +1,11 @@
 package sim_test
 
 // Telemetry cost guard: the instrumentation layer promises that DISABLED
-// telemetry costs the accuracy kernel essentially nothing (one nil check
-// per resolved indirect jump plus a nil-safe clock call). The test below
-// holds the instrumented kernel to within 2% of a telemetry-free copy of
-// the same loop; the benchmarks report the enabled cost for profiling.
+// telemetry costs the streaming accuracy loop essentially nothing (one nil
+// check per resolved indirect jump in Engine.Resolve plus a nil-safe clock
+// call). The test below holds the instrumented loop to within 2% of a
+// telemetry-free copy of the same loop; the benchmarks report the enabled
+// cost of the batched path for profiling.
 
 import (
 	"context"
@@ -17,10 +18,12 @@ import (
 	"repro/internal/workload"
 )
 
-// plainAccuracyLoop is sim.RunAccuracyCtx with every telemetry touchpoint
-// deleted — the pre-instrumentation kernel, kept here as the throughput
-// reference. If the two drift apart structurally, update this copy.
-func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.AccuracyResult {
+// plainAccuracyLoop is the streaming loop of sim.RunAccuracyWithFlushesCtx
+// with every telemetry touchpoint deleted — the pre-instrumentation loop,
+// kept here as the throughput reference. It keeps the per-record flush
+// test (the guard passes 0), so the two loops differ only in telemetry.
+// If the two drift apart structurally, update this copy.
+func plainAccuracyLoop(factory trace.Factory, budget, flushInterval int64, cfg sim.Config) sim.AccuracyResult {
 	ctx := context.Background()
 	engine := sim.NewEngine(cfg)
 	var res sim.AccuracyResult
@@ -33,6 +36,9 @@ func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.
 				res.Err = err
 				return res
 			}
+		}
+		if flushInterval > 0 && res.Instructions%flushInterval == 0 {
+			engine.Reset()
 		}
 		if !r.Class.IsBranch() {
 			continue
@@ -60,10 +66,12 @@ func plainAccuracyLoop(factory trace.Factory, budget int64, cfg sim.Config) sim.
 	return res
 }
 
-// TestDisabledTelemetryOverhead pins the <2% disabled-cost budget. Both
-// kernels run interleaved and best-of-N, which suppresses one-off noise
-// (GC, scheduler) well enough for a regression guard; the whole
-// measurement retries a few times before declaring a failure.
+// TestDisabledTelemetryOverhead pins the <2% disabled-cost budget. The
+// instrumented side runs sim.RunAccuracy over a factory that hides the
+// replay's BlockSource, so both sides run the streaming loop. Both run
+// interleaved and best-of-N, which suppresses one-off noise (GC,
+// scheduler) well enough for a regression guard; the whole measurement
+// retries a few times before declaring a failure.
 func TestDisabledTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement simulates tens of millions of instructions")
@@ -74,13 +82,15 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := w.Replay(budget)
+	// Embedding the interface keeps only Open in the method set.
+	streaming := struct{ trace.Factory }{rep}
 	cfg := sim.DefaultConfig()
 
 	// Warm up: fault in the replay and JIT-warm both paths, and make sure
-	// the two kernels still compute identical results (a drifted copy
+	// the two loops still compute identical results (a drifted copy
 	// would make the comparison meaningless).
-	plain := plainAccuracyLoop(rep, budget, cfg)
-	inst := sim.RunAccuracy(rep, budget, cfg)
+	plain := plainAccuracyLoop(rep, budget, 0, cfg)
+	inst := sim.RunAccuracy(streaming, budget, cfg)
 	if plain != inst {
 		t.Fatalf("reference kernel drifted from sim.RunAccuracy:\nplain: %+v\ninst:  %+v", plain, inst)
 	}
@@ -100,8 +110,8 @@ func TestDisabledTelemetryOverhead(t *testing.T) {
 	const maxOverhead = 1.02
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		base := measure(func() { plainAccuracyLoop(rep, budget, cfg) })
-		with := measure(func() { sim.RunAccuracy(rep, budget, cfg) })
+		base := measure(func() { plainAccuracyLoop(rep, budget, 0, cfg) })
+		with := measure(func() { sim.RunAccuracy(streaming, budget, cfg) })
 		ratio = float64(with) / float64(base)
 		if ratio <= maxOverhead {
 			return

@@ -198,7 +198,7 @@ func (m *manifestFile) save(path string) error {
 
 // runPoint simulates one point. The capture store hands every point of a
 // workload the same decoded trace (one VM capture per workload per
-// process), and RunAccuracyCtx's batched kernel consumes it block-wise.
+// process), and RunAccuracyCtx runs it block-wise as a width-1 gang.
 func runPoint(ctx context.Context, w *workload.Workload, p Point, budget int64) (Result, error) {
 	cfg, err := p.SimConfig()
 	if err != nil {

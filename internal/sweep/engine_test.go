@@ -80,8 +80,8 @@ func TestDifferentialAgainstDirectSim(t *testing.T) {
 		}
 	}
 
-	// Gang widths: 1 (fusion off), 4, auto (0), and max (every fusable
-	// point of a (workload, history) group in one pass).
+	// Gang widths: 1 (one point per pass), 4, auto (0), and max (every
+	// fusable point of a (workload, history) group in one pass).
 	for _, width := range []int{1, 4, 0, len(ex.Points)} {
 		for _, workers := range []int{1, 8} {
 			out, err := Run(context.Background(), spec, Options{Workers: workers, GangWidth: width})

@@ -20,8 +20,8 @@ import (
 // paper's baseline front end, so its gangs run a single BTB lane.
 // btb-family points sweep the BTB itself: they bucket by (workload,
 // "btb") — never widening a target-cache gang — and each geometry becomes
-// one lane of the fused kernel, sharing the pass, the RAS and the
-// direction predictor. Gangs never cross shard boundaries — the shard
+// one lane of the fused kernel, sharing the pass and the direction
+// predictor. Gangs never cross shard boundaries — the shard
 // remains the checkpoint/resume unit and manifests stay byte-identical at
 // any width.
 
@@ -223,7 +223,7 @@ func runUnit(ctx context.Context, w *workload.Workload, points []Point, idxs []i
 		}
 		gang[gi] = sim.GangPoint{Config: cfg, HistShare: histShareKey(p)}
 	}
-	res, ok := sim.RunAccuracyGangCtx(ctx, w.Replay(budget), budget, gang)
+	res, ok := sim.RunAccuracyGangCtx(ctx, w.Replay(budget), budget, 0, gang)
 	if !ok {
 		c.fallbacks++
 		return runDirect()
