@@ -184,13 +184,13 @@ func run() int {
 	params.EventModel = *model == "event"
 
 	if *traceStore != "" {
-		// A record's in-memory SoA footprint is ~28 bytes (three u64 columns
-		// plus four byte columns), so the MB threshold converts to a record
-		// budget above which captures stream to disk instead.
-		const approxBytesPerRecord = 3*8 + 4
+		// A capture's decoded columns take trace.NarrowRecordBytes per
+		// record (every shipped workload's addresses fit the narrow
+		// columns), so the MB threshold converts to a record budget above
+		// which captures stream to disk instead.
 		workload.ConfigureSpill(workload.SpillConfig{
 			Dir:       *traceStore,
-			Threshold: int64(*spillMB) << 20 / approxBytesPerRecord,
+			Threshold: int64(*spillMB) << 20 / trace.NarrowRecordBytes,
 			Compress:  true,
 		})
 	}

@@ -271,12 +271,24 @@ func (g *gang) run(ctx context.Context, bs trace.BlockSource, budget int64) {
 		if rem := effEnd - idx; int64(n) > rem {
 			n = int(rem)
 		}
-		done, err := g.frontEnd(ctx, blk, idx, n)
+		// The value columns are uint32 or uint64 per block; each phase
+		// that reads them is generic over the word.
+		var done int
+		if blk.IsWide() {
+			done, err = frontEnd(ctx, g, blk, blk.Wide, idx, n)
+		} else {
+			done, err = frontEnd(ctx, g, blk, blk.Narrow, idx, n)
+		}
 		for mi := range g.members {
 			mem := &g.members[mi]
 			g.pipeline(mem, done)
-			if mem.stamps != nil {
-				g.observe(mem, blk, done)
+			if mem.stamps == nil {
+				continue
+			}
+			if blk.IsWide() {
+				observe(mem, blk, blk.Wide, done)
+			} else {
+				observe(mem, blk, blk.Narrow, done)
 			}
 		}
 		idx += int64(done)
@@ -292,10 +304,11 @@ func (g *gang) run(ctx context.Context, bs trace.BlockSource, budget int64) {
 }
 
 // frontEnd is phase A over the block's first n records, whose first
-// record is the capture's record base. It returns the number of records
-// processed: n, or fewer with ctx's error when ctx was cancelled at one
-// of the streaming loop's poll positions.
-func (g *gang) frontEnd(ctx context.Context, blk *trace.Block, base int64, n int) (int, error) {
+// record is the capture's record base, reading the block's value columns
+// cols. It returns the number of records processed: n, or fewer with
+// ctx's error when ctx was cancelled at one of the streaming loop's poll
+// positions.
+func frontEnd[W trace.Word](ctx context.Context, g *gang, blk *trace.Block, cols trace.Columns[W], base int64, n int) (int, error) {
 	cfg := &g.cfg
 	e := g.front.engine
 	btbT, ras, dir := e.BTB, e.RAS, e.Dir
@@ -309,9 +322,9 @@ func (g *gang) frontEnd(ctx context.Context, blk *trace.Block, base int64, n int
 	// Reslice every column to the iteration length once: the i < n bound
 	// then proves each index in range.
 	meta := blk.Meta[:n]
-	pcs := blk.PC[:n]
-	tgts := blk.Target[:n]
-	addrs := blk.Addr[:n]
+	pcs := cols.PC[:n]
+	tgts := cols.Target[:n]
+	addrs := cols.Addr[:n]
 	dsts := blk.Dst[:n]
 	src1s := blk.Src1[:n]
 	src2s := blk.Src2[:n]
@@ -330,7 +343,7 @@ func (g *gang) frontEnd(ctx context.Context, blk *trace.Block, base int64, n int
 		l := cfg.Latencies[op]
 		if op == trace.OpLoad || op == trace.OpStore {
 			res.DCacheAccesses++
-			set, tag := dcache.IndexOf(addrs[i] >> lineShift)
+			set, tag := dcache.IndexOf(uint64(addrs[i]) >> lineShift)
 			g.dtick++
 			lo := set * dways
 			hit := false
@@ -364,9 +377,9 @@ func (g *gang) frontEnd(ctx context.Context, blk *trace.Block, base int64, n int
 		res.Branches++
 		// Lean materialization: only the fields the predictors read (the
 		// register operands stay zero; no consumer looks at them).
-		r.PC = pcs[i]
-		r.Target = tgts[i]
-		r.Addr = addrs[i]
+		r.PC = uint64(pcs[i])
+		r.Target = uint64(tgts[i])
+		r.Addr = uint64(addrs[i])
 		r.Class = cls
 		r.Op = op
 		r.Taken = mb&trace.MetaTaken != 0
@@ -590,17 +603,18 @@ func (g *gang) pipeline(mem *gangMember, n int) {
 	p.slot = slot
 }
 
-// observe replays an observed member's block to its telemetry collector
-// and timeline observer, in record order, from the pipeline's stamps:
-// telemetry events carry the branch's resolve cycle.
-func (g *gang) observe(mem *gangMember, blk *trace.Block, n int) {
+// observe replays an observed member's block, whose value columns are
+// cols, to its telemetry collector and timeline observer, in record
+// order, from the pipeline's stamps: telemetry events carry the branch's
+// resolve cycle.
+func observe[W trace.Word](mem *gangMember, blk *trace.Block, cols trace.Columns[W], n int) {
 	events := mem.events
 	for i, st := range mem.stamps[:n] {
 		if mem.tel != nil && st.v&vBranch != 0 {
 			mem.tel.SetClock(st.complete)
 			if len(events) > 0 && events[0].i == i {
 				ev := &events[0]
-				mem.tel.Indirect(blk.PC[i], ev.hist, ev.pTarget, ev.hasPrediction, blk.Target[i], ev.correct)
+				mem.tel.Indirect(uint64(cols.PC[i]), ev.hist, ev.pTarget, ev.hasPrediction, uint64(cols.Target[i]), ev.correct)
 				events = events[1:]
 			}
 		}

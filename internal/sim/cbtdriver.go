@@ -52,46 +52,55 @@ func RunCBTCtx(ctx context.Context, factory trace.Factory, budget int64, cfg cbt
 func runCBTBlocks(ctx context.Context, bs trace.BlockSource, budget int64, cfg cbt.Config) (stats.Counter, error) {
 	table := cbt.New(cfg)
 	var c stats.Counter
-	limit := budget
-	if limit < 0 {
-		limit = 0
-	}
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
+	limit := max(budget, 0)
+	effEnd := min(limit, bs.CleanLen())
 	var n int64
-	var r trace.Record
 	for bi := 0; n < effEnd; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
 			return c, err
 		}
-		meta := blk.Meta
-		m := len(meta)
-		if rem := effEnd - n; int64(m) > rem {
-			m = int(rem)
+		meta := blk.Meta[:min(int64(len(blk.Meta)), effEnd-n)]
+		var done int
+		if blk.IsWide() {
+			done, err = cbtBlock(ctx, table, &c, n, meta, blk.Wide)
+		} else {
+			done, err = cbtBlock(ctx, table, &c, n, meta, blk.Narrow)
 		}
-		base := n
-		for i := 0; i < m; i++ {
-			n = base + int64(i) + 1
-			if n&ctxCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return c, err
-				}
-			}
-			cls := trace.Class(meta[i] & trace.MetaClassMask)
-			if cls != trace.ClassIndJump && cls != trace.ClassIndCall {
-				continue
-			}
-			blk.Record(i, &r)
-			tgt, ok := table.Predict(r.PC, r.Addr)
-			c.Record(ok && tgt == r.Target)
-			table.Update(&r)
+		n += int64(done)
+		if err != nil {
+			return c, err
 		}
 	}
 	if limit > bs.CleanLen() {
 		return c, bs.TailErr()
 	}
 	return c, nil
+}
+
+// cbtBlock runs the CBT over one block's records meta, whose first record
+// is the capture's record base, and returns the records it reached: all
+// of them, or up to the poll position where ctx was found cancelled.
+func cbtBlock[W trace.Word](ctx context.Context, table *cbt.CBT, c *stats.Counter, base int64, meta []uint8, cols trace.Columns[W]) (int, error) {
+	pcs := cols.PC[:len(meta)]
+	tgts := cols.Target[:len(meta)]
+	addrs := cols.Addr[:len(meta)]
+	var r trace.Record
+	for i, mb := range meta {
+		if (base+int64(i)+1)&ctxCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return i + 1, err
+			}
+		}
+		cls := trace.Class(mb & trace.MetaClassMask)
+		if cls != trace.ClassIndJump && cls != trace.ClassIndCall {
+			continue
+		}
+		// The CBT reads only the pc, target, address and class.
+		r = trace.Record{PC: uint64(pcs[i]), Target: uint64(tgts[i]), Addr: uint64(addrs[i]), Class: cls}
+		tgt, ok := table.Predict(r.PC, r.Addr)
+		c.Record(ok && tgt == r.Target)
+		table.Update(&r)
+	}
+	return len(meta), nil
 }

@@ -26,8 +26,8 @@ import (
 // varint-decoded a single time process-wide — and non-branch records are
 // skipped with a one-byte class check, never materializing a Record. The
 // kernel inlines Engine.Predict/Engine.Resolve (no Engine calls, one BTB
-// probe per branch per lane) and is instantiated per (target cache,
-// history) type pair. That instantiation does not devirtualize the
+// probe per branch per distinct BTB) and is instantiated per (target
+// cache, history) type pair. That instantiation does not devirtualize the
 // predictor calls: Go stencils generics per GC shape, and every pointer
 // type argument (*core.Tagless, *core.Tagged, *history.Path, ...) shares
 // the go.shape.*uint8 shape, so those calls still dispatch through the
@@ -42,7 +42,10 @@ import (
 // their state depends on their own geometry. A gang therefore shares
 //
 //   - one block iteration: record fields (pc/target/class byte) are read
-//     once per block for the whole gang;
+//     once per block for the whole gang. Each block's value columns are
+//     uint32 or uint64 (trace.Block); the kernel tests that once per
+//     block and runs gangBlock, generic over the column word, so both
+//     element types compile to direct loads;
 //   - one direction predictor: every member must carry the same
 //     direction-predictor config. dirpred.Predict is pure, so one
 //     evaluation per record serves every member, and training runs once;
@@ -54,13 +57,18 @@ import (
 //     together, at the position Engine.Reset runs in the streaming loop,
 //     so the shared structures stay exact;
 //
-// and splits the rest into lanes, one per distinct (BTB configuration,
-// RAS depth) pair, in first-seen member order. A lane owns its BTB and
-// RAS, probed and trained once per record for all of the lane's members,
-// and the lane's skeleton counters. Every sweep target-cache gang runs
-// the paper's baseline front end and so has a single lane; the sweep's
-// btb family fuses its geometries and the suite's ras ablation its stack
-// depths as one lane per point.
+// and splits the rest by front end. A BTB's state depends only on its
+// configuration and the resolved stream, so there is one BTB per distinct
+// BTB configuration, probed once per record and trained after everything
+// that reads the probe; its members' records on which neither a target
+// cache nor a RAS was consulted count once, in the BTB's skeleton
+// counters. Under each BTB sit lanes, one per distinct RAS depth: a lane
+// owns its RAS, pushed and popped on calls and returns, and counts once
+// for all of its members the records whose target the RAS supplied (the
+// BTB detected a return). Every sweep target-cache gang runs the paper's
+// baseline front end and so has a single BTB and lane; the sweep's btb
+// family fuses its geometries as one BTB per point, and the suite's ras
+// ablation its stack depths as one lane per point under a single BTB.
 //
 // Per member there remains only the target cache itself — flat tables
 // allocated per member, with the member bookkeeping (history index,
@@ -68,11 +76,11 @@ import (
 // on records whose prediction or update actually consults it: indirect
 // jumps and calls, plus the rare record whose stale BTB entry
 // misclassifies it as indirect. A member consults its cache only when its
-// own lane's BTB detects an indirect jump, the rule Engine.Predict
-// follows. Everything else is accumulated once per lane in the skeleton
-// counters and added into every lane member's result at the end, so the
-// per-record marginal cost of a gang member is zero on the ~95% of
-// branches that never touch a target cache.
+// own BTB detects an indirect jump, the rule Engine.Predict follows.
+// Everything else is accumulated once per BTB or lane and added into
+// every member's result at the end, so the per-record marginal cost of a
+// gang member is zero on the ~95% of branches that never touch a target
+// cache.
 //
 // Equivalence contract: for every member, the returned AccuracyResult is
 // struct-identical to the streaming loop's over the same records, budget,
@@ -121,31 +129,79 @@ type GangPoint struct {
 	HistShare string
 }
 
+// classCounters are accuracy counters split by branch class, the way
+// AccuracyResult reports them, indexed by the slots below.
+type classCounters [numSlots]stats.Counter
+
+const (
+	slotNone = iota // a non-branch; never recorded
+	slotCond
+	slotDirect
+	slotReturns
+	slotIndirect
+	slotOverall
+	numSlots
+)
+
+// classSlot maps a class (the Meta byte's low four bits) to its slot.
+var classSlot = [16]uint8{
+	trace.ClassCondDirect:   slotCond,
+	trace.ClassUncondDirect: slotDirect,
+	trace.ClassCall:         slotDirect,
+	trace.ClassReturn:       slotReturns,
+	trace.ClassIndJump:      slotIndirect,
+	trace.ClassIndCall:      slotIndirect,
+}
+
+// record counts one prediction for a branch of class cls.
+func (c *classCounters) record(cls trace.Class, correct bool) {
+	c[classSlot[cls&trace.MetaClassMask]].Record(correct)
+	c[slotOverall].Record(correct)
+}
+
+// add accumulates o into c.
+func (c *classCounters) add(o *classCounters) {
+	for i := range c {
+		c[i].Add(o[i])
+	}
+}
+
 // gangMember is the per-member state of a fused run. The slice of these
 // is the gang's only per-member allocation besides the target caches
 // themselves; counters here record only the records whose outcome
 // diverged per member (their prediction consulted the member's target
-// cache) — the shared skeleton counters live once per lane.
+// cache) — the shared counters live once per BTB and per lane.
 type gangMember struct {
 	hist int32 // index into the shared provider table
+	classCounters
+	tcCovered int64
+}
 
-	cond, direct, returns, indirect, overall stats.Counter
-	tcCovered                                int64
+// gangBTB is one distinct BTB configuration of a gang and the lanes that
+// share it, lanes[lo:hi], whose target-cache members are members[mlo:mhi].
+// Its counters are the skeleton, the records on which neither a target
+// cache nor a RAS was consulted (their outcome is identical for every
+// member of every lane), and the verdict every BTB-only member of the
+// lanes shares on the records where the target caches were consulted.
+type gangBTB struct {
+	btb              *btb.BTB
+	lo, hi, mlo, mhi int
+	skeleton         classCounters
+	// verdict is nil when no lane has a BTB-only member.
+	verdict *classCounters
 }
 
 // gangLane is one distinct (BTB configuration, RAS depth) pair of a
-// gang: its BTB and RAS, the skeleton counters of the records on which no
-// target cache of the lane was consulted (their outcome is identical for
-// every member of the lane), and its members — target-cache members
-// members[lo:hi] and the BTB-only members, which share one verdict.
+// gang: its RAS, the counters of the records whose target the RAS
+// supplied (their outcome is identical for every member of the lane),
+// its target-cache members members[lo:hi] and whether it has BTB-only
+// members, which share one result, plus their collectors.
 type gangLane struct {
-	btb    *btb.BTB
-	ras    *btb.RAS
-	lo, hi int
-
-	cond, direct, returns, indirect, overall stats.Counter
-	// verdict is nil when the lane has no BTB-only member.
-	verdict *btbVerdict
+	ras     *btb.RAS
+	lo, hi  int
+	fromRAS classCounters
+	btbOnly bool
+	tels    []*telemetry.Collector
 }
 
 // laneKey is what the members of one lane share.
@@ -155,11 +211,13 @@ type laneKey struct {
 }
 
 // gang is a fused run's type-independent state: the block stream, the
-// shared direction predictor, the lanes and the members' bookkeeping.
+// shared direction predictor, the BTBs, the lanes and the members'
+// bookkeeping.
 type gang struct {
 	bs            trace.BlockSource
 	budget, flush int64
 	dir           *dirpred.Predictor
+	btbs          []gangBTB
 	lanes         []gangLane
 	members       []gangMember
 	obs           *gangObs // nil when no member carries a collector
@@ -181,10 +239,11 @@ func RunAccuracyGang(factory trace.Factory, budget int64, pts []GangPoint) ([]Ac
 // flushInterval <= 0 never flushes.
 //
 // Members may differ in BTB configuration and RAS depth: each distinct
-// pair is a lane with its own BTB and RAS. A member without a target
-// cache (a BTB-only config) rides its lane's BTB: its result is the
-// lane's skeleton plus one "BTB verdict" counter set the lane's BTB-only
-// members share, however many there are.
+// pair is a lane with its own RAS, and lanes with the same BTB
+// configuration share one BTB. A member without a target cache (a
+// BTB-only config) rides its lane: its result is the BTB's skeleton, the
+// lane's RAS counters and one "BTB verdict" counter set the BTB's
+// BTB-only members share, however many there are.
 //
 // The second return is false — and no simulation runs — when pts is
 // empty or the gang cannot be fused: the factory exposes no decoded
@@ -200,9 +259,11 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flus
 		return nil, false
 	}
 	dirCfg := pts[0].Config.Dir
-	var keys []laneKey // one per lane, first-seen order
-	laneOf := make([]int, len(pts))
-	for i, pt := range pts {
+	var (
+		btbCfgs []btb.Config // one per BTB, first-seen order
+		keys    []laneKey    // one per lane
+	)
+	for _, pt := range pts {
 		cfg := pt.Config
 		if cfg.NewTargetCache != nil && cfg.NewHistory == nil {
 			return nil, false
@@ -210,12 +271,20 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flus
 		if cfg.Dir != dirCfg {
 			return nil, false
 		}
-		k := laneKey{btb: cfg.BTB, ras: cfg.RASDepth}
-		li := slices.Index(keys, k)
-		if li < 0 {
-			li, keys = len(keys), append(keys, k)
+		if !slices.Contains(btbCfgs, cfg.BTB) {
+			btbCfgs = append(btbCfgs, cfg.BTB)
 		}
-		laneOf[i] = li
+		if k := (laneKey{btb: cfg.BTB, ras: cfg.RASDepth}); !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	// The lanes of one BTB are contiguous, in first-seen order.
+	slices.SortStableFunc(keys, func(a, b laneKey) int {
+		return slices.Index(btbCfgs, a.btb) - slices.Index(btbCfgs, b.btb)
+	})
+	laneOf := make([]int, len(pts))
+	for i, pt := range pts {
+		laneOf[i] = slices.Index(keys, laneKey{btb: pt.Config.BTB, ras: pt.Config.RASDepth})
 	}
 
 	g := &gang{bs: bs, budget: budget, flush: flushInterval, dir: dirpred.New(dirCfg)}
@@ -226,13 +295,14 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flus
 		observed  bool
 	)
 	// Target-cache members are laid out lane by lane, so a lane's
-	// members are one contiguous run; memberOf maps each point back.
+	// members, and a BTB's, are one contiguous run; memberOf maps each
+	// point back.
 	g.lanes = make([]gangLane, len(keys))
 	memberOf := make([]int, len(pts))
 	shared := make(map[string]int32, len(pts))
 	for li := range g.lanes {
 		ln := &g.lanes[li]
-		ln.btb, ln.ras = btb.New(keys[li].btb), btb.NewRAS(keys[li].ras)
+		ln.ras = btb.NewRAS(keys[li].ras)
 		ln.lo = len(g.members)
 		for i, pt := range pts {
 			if laneOf[i] != li {
@@ -242,11 +312,9 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flus
 			observed = observed || tel != nil
 			if pt.Config.NewTargetCache == nil {
 				memberOf[i] = -1
-				if ln.verdict == nil {
-					ln.verdict = &btbVerdict{}
-				}
+				ln.btbOnly = true
 				if tel != nil {
-					ln.verdict.tels = append(ln.verdict.tels, tel)
+					ln.tels = append(ln.tels, tel)
 				}
 				continue
 			}
@@ -267,6 +335,17 @@ func RunAccuracyGangCtx(ctx context.Context, factory trace.Factory, budget, flus
 			providers = append(providers, pt.Config.NewHistory())
 		}
 		ln.hi = len(g.members)
+	}
+	for lo := 0; lo < len(keys); {
+		bt := gangBTB{btb: btb.New(keys[lo].btb), lo: lo, hi: lo, mlo: g.lanes[lo].lo}
+		for ; bt.hi < len(keys) && keys[bt.hi].btb == keys[lo].btb; bt.hi++ {
+			if g.lanes[bt.hi].btbOnly && bt.verdict == nil {
+				bt.verdict = &classCounters{}
+			}
+		}
+		bt.mhi = g.lanes[bt.hi-1].hi
+		g.btbs = append(g.btbs, bt)
+		lo = bt.hi
 	}
 
 	// Only gangs with a collector carry an observer; the rest (every
@@ -359,14 +438,6 @@ func cast[TC targetCache](tcs []core.TargetCache) []TC {
 	return out
 }
 
-// btbVerdict is the outcome every BTB-only member of a lane shares on the
-// records where the lane's target-cache members diverge.
-type btbVerdict struct {
-	cond, direct, returns, indirect, overall stats.Counter
-	// tels are the BTB-only members' collectors.
-	tels []*telemetry.Collector
-}
-
 // gangObs carries the members' telemetry collectors. Gangs without any
 // collector pass a nil observer and skip every call.
 type gangObs struct {
@@ -383,271 +454,63 @@ func (o *gangObs) memberIndirect(mi int, insns int64, r *trace.Record, hist, pTa
 	}
 }
 
-// diverged reports a record whose prediction consulted the lane's target
-// caches; a BTB-only member predicts the BTB entry's target there.
-func (v *btbVerdict) diverged(insns int64, r *trace.Record, entryTarget uint64) {
-	// The kernel reports only predicted-taken records here.
-	correct := r.Taken && entryTarget == r.Target
-	switch r.Class {
-	case trace.ClassCondDirect:
-		v.cond.Record(correct)
-	case trace.ClassUncondDirect, trace.ClassCall:
-		v.direct.Record(correct)
-	case trace.ClassReturn:
-		v.returns.Record(correct)
-	case trace.ClassIndJump, trace.ClassIndCall:
-		v.indirect.Record(correct)
-		for _, tel := range v.tels {
-			tel.SetClock(insns)
-			tel.Indirect(r.PC, 0, entryTarget, true, r.Target, correct)
-		}
-	}
-	v.overall.Record(correct)
-}
-
-// sharedIndirect reports an indirect-class record every member of lane ln
-// predicted alike; phVals are the history registers' values.
-func (o *gangObs) sharedIndirect(ln *gangLane, insns int64, r *trace.Record, phVals []uint64, pTarget uint64, hasPrediction, correct bool) {
-	for mi := ln.lo; mi < ln.hi; mi++ {
-		if tel := o.tels[mi]; tel != nil {
-			tel.SetClock(insns)
-			tel.Indirect(r.PC, phVals[o.hists[mi]], pTarget, hasPrediction, r.Target, correct)
-		}
-	}
-	if ln.verdict != nil {
-		// BTB-only members see no history.
-		for _, tel := range ln.verdict.tels {
+// btbOnlyIndirect reports an indirect-class record to the BTB-only
+// members of lanes, which see no history.
+func btbOnlyIndirect(lanes []gangLane, insns int64, r *trace.Record, pTarget uint64, hasPrediction, correct bool) {
+	for li := range lanes {
+		for _, tel := range lanes[li].tels {
 			tel.SetClock(insns)
 			tel.Indirect(r.PC, 0, pTarget, hasPrediction, r.Target, correct)
 		}
 	}
 }
 
+// sharedIndirect reports an indirect-class record that the target-cache
+// members members[lo:hi] and the BTB-only members of lanes predicted
+// alike; phVals are the history registers' values.
+func (o *gangObs) sharedIndirect(lo, hi int, lanes []gangLane, insns int64, r *trace.Record, phVals []uint64, pTarget uint64, hasPrediction, correct bool) {
+	for mi := lo; mi < hi; mi++ {
+		if tel := o.tels[mi]; tel != nil {
+			tel.SetClock(insns)
+			tel.Indirect(r.PC, phVals[o.hists[mi]], pTarget, hasPrediction, r.Target, correct)
+		}
+	}
+	btbOnlyIndirect(lanes, insns, r, pTarget, hasPrediction, correct)
+}
+
 // gangKernel is the fused accuracy loop, record for record the streaming
 // loop's sequence — same context-poll and flush positions, same
 // clean-prefix error contract — with lean materialization and the
 // per-branch work split into a shared part (direction prediction, history
-// values, direction and history training: run once), a per-lane skeleton
-// (BTB probe, RAS, shared outcome, BTB and RAS training: run once per
-// lane) and a per-member tail (run only when the member's lane consults
-// its target cache). It returns the target-cache members' results in
-// order plus, per lane, the result every BTB-only member of the lane
-// shares.
+// values, direction and history training: run once), a per-BTB skeleton
+// (probe, shared outcome, training: run once per distinct BTB), a
+// per-lane part (RAS: run only on calls, returns and the records whose
+// target the RAS supplies) and a per-member tail (run only when the
+// member's BTB detects an indirect jump, so its target cache is
+// consulted). It returns the target-cache members' results in order plus,
+// per lane, the result every BTB-only member of the lane shares.
 func gangKernel[TC targetCache, H historySource](ctx context.Context, g *gang, tcs []TC, hists []H) ([]AccuracyResult, []AccuracyResult) {
-	bs, budget, flush := g.bs, g.budget, g.flush
-	dir, lanes, members, obs := g.dir, g.lanes, g.members, g.obs
-	var branches int64
-	phVals := make([]uint64, len(hists))
-
-	limit := budget
-	if limit < 0 {
-		limit = 0
-	}
-	effEnd := limit
-	if clean := bs.CleanLen(); clean < effEnd {
-		effEnd = clean
-	}
+	k := &gangRun[TC, H]{gang: g, tcs: tcs, hists: hists, phVals: make([]uint64, len(hists))}
+	bs := g.bs
+	limit := max(g.budget, 0)
+	effEnd := min(limit, bs.CleanLen())
 	var insns int64
-	var r trace.Record
-
-	// finish assembles the per-member results: the lane's skeleton plus
-	// each member's divergence counters, every member reporting the same
-	// instruction count and error a streaming run stopped at this record
-	// would.
-	finish := func(err error) ([]AccuracyResult, []AccuracyResult) {
-		assemble := func(ln *gangLane, cond, direct, returns, indirect, overall stats.Counter, tcCovered int64) AccuracyResult {
-			mr := AccuracyResult{
-				Instructions: insns, Branches: branches,
-				Conditional: ln.cond, Direct: ln.direct, Returns: ln.returns, Indirect: ln.indirect, Overall: ln.overall,
-				TCCovered: tcCovered, Err: err,
-			}
-			mr.Conditional.Add(cond)
-			mr.Direct.Add(direct)
-			mr.Returns.Add(returns)
-			mr.Indirect.Add(indirect)
-			mr.Overall.Add(overall)
-			return mr
-		}
-		out := make([]AccuracyResult, len(members))
-		btbRes := make([]AccuracyResult, len(lanes))
-		for li := range lanes {
-			ln := &lanes[li]
-			for mi := ln.lo; mi < ln.hi; mi++ {
-				m := &members[mi]
-				out[mi] = assemble(ln, m.cond, m.direct, m.returns, m.indirect, m.overall, m.tcCovered)
-			}
-			if v := ln.verdict; v != nil {
-				btbRes[li] = assemble(ln, v.cond, v.direct, v.returns, v.indirect, v.overall, 0)
-			}
-		}
-		return out, btbRes
-	}
-
 	for bi := 0; insns < effEnd; bi++ {
 		blk, err := bs.BlockAt(bi)
 		if err != nil {
-			return finish(err)
+			return g.finish(insns, k.branches, err)
 		}
 		base := int64(bi) * trace.BlockLen
-		meta := blk.Meta
-		m := len(meta)
-		if rem := effEnd - base; int64(m) > rem {
-			m = int(rem)
+		meta := blk.Meta[:min(int64(len(blk.Meta)), effEnd-base)]
+		var done int
+		if blk.IsWide() {
+			done, err = gangBlock(ctx, k, base, meta, blk.Wide)
+		} else {
+			done, err = gangBlock(ctx, k, base, meta, blk.Narrow)
 		}
-		meta = meta[:m]
-		pcs := blk.PC[:m]
-		tgts := blk.Target[:m]
-		addrs := blk.Addr[:m]
-		for i := 0; i < m; i++ {
-			insns = base + int64(i) + 1
-			if insns&ctxCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return finish(err)
-				}
-			}
-			if flush > 0 && insns%flush == 0 {
-				resetGang(dir, lanes, tcs, hists)
-			}
-			mb := meta[i]
-			cls := trace.Class(mb & trace.MetaClassMask)
-			if cls == trace.ClassOther {
-				continue
-			}
-			branches++
-			r.PC = pcs[i]
-			r.Target = tgts[i]
-			r.Addr = addrs[i]
-			r.Class = cls
-			r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
-			r.Taken = mb&trace.MetaTaken != 0
-
-			indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
-			// Value is pure and providers are not trained until the
-			// resolve phase below, so one read per scheme serves every
-			// member of every lane — the same value a streaming run would
-			// see. Indirect records need it for training; any other record
-			// only when some lane consults its target caches.
-			phFresh := indirectCls
-			if phFresh {
-				readHists(hists, phVals, r.PC)
-			}
-			// The direction prediction is pure too: evaluated at most
-			// once per record, by the first lane whose BTB detects a
-			// conditional branch.
-			var dirTaken, dirFresh bool
-
-			for li := range lanes {
-				ln := &lanes[li]
-				// ---- per-lane fetch skeleton: BTB probe and direction ----
-				entry, bref, hit := ln.btb.Probe(r.PC)
-				var pTaken bool
-				if hit {
-					if entry.Class == trace.ClassCondDirect {
-						if !dirFresh {
-							dirTaken, dirFresh = dir.Predict(r.PC), true
-						}
-						pTaken = dirTaken
-					} else {
-						pTaken = true
-					}
-				}
-				// perMember: the prediction consults the target cache, so
-				// the outcome can differ per member. This keys on the
-				// lane's BTB's *detected* class, exactly like
-				// Engine.Predict.
-				if hit && pTaken && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall) {
-					if !phFresh {
-						readHists(hists, phVals, r.PC)
-						phFresh = true
-					}
-					for mi := ln.lo; mi < ln.hi; mi++ {
-						mem := &members[mi]
-						pTarget, pFromTC := entry.Target, false
-						if tgt, ok := tcs[mi].Predict(r.PC, phVals[mem.hist]); ok {
-							pTarget, pFromTC = tgt, true
-						}
-						correct := pTaken == r.Taken && (!r.Taken || pTarget == r.Target)
-						switch cls {
-						case trace.ClassCondDirect:
-							mem.cond.Record(correct)
-						case trace.ClassUncondDirect, trace.ClassCall:
-							mem.direct.Record(correct)
-						case trace.ClassReturn:
-							mem.returns.Record(correct)
-						case trace.ClassIndJump, trace.ClassIndCall:
-							mem.indirect.Record(correct)
-							if pFromTC {
-								mem.tcCovered++
-							}
-							if obs != nil {
-								obs.memberIndirect(mi, insns, &r, phVals[mem.hist], pTarget, correct)
-							}
-						}
-						mem.overall.Record(correct)
-					}
-					if ln.verdict != nil {
-						ln.verdict.diverged(insns, &r, entry.Target)
-					}
-				} else {
-					// No target cache consulted: the prediction — and its
-					// correctness — is identical for every member of the
-					// lane. Count once.
-					var pTarget uint64
-					var pHasTarget bool
-					if hit && pTaken {
-						switch entry.Class {
-						case trace.ClassReturn:
-							if addr, ok := ln.ras.Peek(); ok {
-								pTarget, pHasTarget = addr, true
-							}
-						default:
-							pTarget, pHasTarget = entry.Target, true
-						}
-					}
-					correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
-					switch cls {
-					case trace.ClassCondDirect:
-						ln.cond.Record(correct)
-					case trace.ClassUncondDirect, trace.ClassCall:
-						ln.direct.Record(correct)
-					case trace.ClassReturn:
-						ln.returns.Record(correct)
-					case trace.ClassIndJump, trace.ClassIndCall:
-						ln.indirect.Record(correct)
-						if obs != nil {
-							obs.sharedIndirect(ln, insns, &r, phVals, pTarget, pTaken && pHasTarget, correct)
-						}
-					}
-					ln.overall.Record(correct)
-				}
-				// Only this lane reads its BTB and RAS, so both train
-				// right away.
-				if cls == trace.ClassCall || cls == trace.ClassIndCall {
-					ln.ras.Push(r.FallThrough())
-				}
-				if cls == trace.ClassReturn {
-					ln.ras.Pop()
-				}
-				if hit {
-					ln.btb.UpdateHit(bref, &r)
-				} else {
-					ln.btb.Update(&r)
-				}
-			}
-
-			// ---- resolve: per-member target-cache training, then the
-			// shared structures ----
-			if indirectCls {
-				for mi := range members {
-					tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
-				}
-			}
-			if cls == trace.ClassCondDirect {
-				dir.Update(r.PC, r.Taken)
-			}
-			for pi := range hists {
-				hists[pi].Observe(&r)
-			}
+		insns = base + int64(done)
+		if err != nil {
+			return g.finish(insns, k.branches, err)
 		}
 	}
 	var tailErr error
@@ -657,7 +520,218 @@ func gangKernel[TC targetCache, H historySource](ctx context.Context, g *gang, t
 	if limit > bs.CleanLen() {
 		tailErr = bs.TailErr()
 	}
-	return finish(tailErr)
+	return g.finish(insns, k.branches, tailErr)
+}
+
+// gangRun is a fused run's typed state: the gang, the members' target
+// caches, the shared history registers and their values at the current
+// record, and the branch count so far.
+type gangRun[TC targetCache, H historySource] struct {
+	*gang
+	tcs      []TC
+	hists    []H
+	phVals   []uint64
+	branches int64
+}
+
+// gangBlock runs the gang over one block's records meta (the block's Meta
+// column cut to the budget) and value columns cols, whose first record is
+// the capture's record base. It returns the instruction count the block
+// reached: len(meta), or the count at the poll position where ctx was
+// found cancelled.
+func gangBlock[TC targetCache, H historySource, W trace.Word](ctx context.Context, k *gangRun[TC, H], base int64, meta []uint8, cols trace.Columns[W]) (int, error) {
+	flush := k.flush
+	dir, btbs, lanes, members, obs := k.dir, k.btbs, k.lanes, k.members, k.obs
+	tcs, hists, phVals := k.tcs, k.hists, k.phVals
+	branches := k.branches
+	pcs := cols.PC[:len(meta)]
+	tgts := cols.Target[:len(meta)]
+	var r trace.Record
+	for i := range meta {
+		insns := base + int64(i) + 1
+		if insns&ctxCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				k.branches = branches
+				return i + 1, err
+			}
+		}
+		if flush > 0 && insns%flush == 0 {
+			resetGang(dir, btbs, lanes, tcs, hists)
+		}
+		mb := meta[i]
+		cls := trace.Class(mb & trace.MetaClassMask)
+		if cls == trace.ClassOther {
+			continue
+		}
+		branches++
+		// Lean materialization: no predictor reads the address or the
+		// register operands, so they stay zero.
+		r.PC = uint64(pcs[i])
+		r.Target = uint64(tgts[i])
+		r.Class = cls
+		r.Op = trace.OpClass(mb >> trace.MetaOpShift & trace.MetaOpMask)
+		r.Taken = mb&trace.MetaTaken != 0
+
+		indirectCls := cls == trace.ClassIndJump || cls == trace.ClassIndCall
+		// Value is pure and providers are not trained until the resolve
+		// phase below, so one read per scheme serves every member — the
+		// same value a streaming run would see. Indirect records need it
+		// for training; any other record only when some BTB detects an
+		// indirect jump.
+		phFresh := indirectCls
+		if phFresh {
+			readHists(hists, phVals, r.PC)
+		}
+		// The direction prediction is pure too: evaluated at most once
+		// per record, by the first BTB that detects a conditional branch.
+		var dirTaken, dirFresh bool
+
+		for bti := range btbs {
+			bt := &btbs[bti]
+			// ---- per-BTB fetch skeleton: probe and direction ----
+			entry, bref, hit := bt.btb.Probe(r.PC)
+			var pTaken bool
+			if hit {
+				if entry.Class == trace.ClassCondDirect {
+					if !dirFresh {
+						dirTaken, dirFresh = dir.Predict(r.PC), true
+					}
+					pTaken = dirTaken
+				} else {
+					pTaken = true
+				}
+			}
+			switch {
+			case hit && pTaken && (entry.Class == trace.ClassIndJump || entry.Class == trace.ClassIndCall):
+				// The prediction consults the target cache, so the
+				// outcome can differ per member. This keys on the BTB's
+				// *detected* class, exactly like Engine.Predict.
+				if !phFresh {
+					readHists(hists, phVals, r.PC)
+					phFresh = true
+				}
+				for mi := bt.mlo; mi < bt.mhi; mi++ {
+					mem := &members[mi]
+					pTarget, pFromTC := entry.Target, false
+					if tgt, ok := tcs[mi].Predict(r.PC, phVals[mem.hist]); ok {
+						pTarget, pFromTC = tgt, true
+					}
+					correct := r.Taken && pTarget == r.Target
+					mem.record(cls, correct)
+					if indirectCls {
+						if pFromTC {
+							mem.tcCovered++
+						}
+						if obs != nil {
+							obs.memberIndirect(mi, insns, &r, phVals[mem.hist], pTarget, correct)
+						}
+					}
+				}
+				if bt.verdict != nil {
+					// A BTB-only member predicts the entry's target.
+					correct := r.Taken && entry.Target == r.Target
+					bt.verdict.record(cls, correct)
+					if indirectCls && obs != nil {
+						btbOnlyIndirect(lanes[bt.lo:bt.hi], insns, &r, entry.Target, true, correct)
+					}
+				}
+			case hit && pTaken && entry.Class == trace.ClassReturn:
+				// The RAS supplies the target: the outcome is identical
+				// for every member of a lane.
+				for li := bt.lo; li < bt.hi; li++ {
+					ln := &lanes[li]
+					pTarget, pHasTarget := ln.ras.Peek()
+					correct := r.Taken && pHasTarget && pTarget == r.Target
+					ln.fromRAS.record(cls, correct)
+					if indirectCls && obs != nil {
+						obs.sharedIndirect(ln.lo, ln.hi, lanes[li:li+1], insns, &r, phVals, pTarget, pHasTarget, correct)
+					}
+				}
+			default:
+				// Neither a target cache nor a RAS consulted: the
+				// prediction — and its correctness — is identical for
+				// every member of every lane. Count once.
+				pHasTarget := hit && pTaken
+				var pTarget uint64
+				if pHasTarget {
+					pTarget = entry.Target
+				}
+				correct := pTaken == r.Taken && (!r.Taken || (pHasTarget && pTarget == r.Target))
+				bt.skeleton.record(cls, correct)
+				if indirectCls && obs != nil {
+					obs.sharedIndirect(bt.mlo, bt.mhi, lanes[bt.lo:bt.hi], insns, &r, phVals, pTarget, pHasTarget, correct)
+				}
+			}
+			// Every lane of this BTB has read the probe: train its RASes
+			// and the BTB itself.
+			if cls == trace.ClassCall || cls == trace.ClassIndCall {
+				for li := bt.lo; li < bt.hi; li++ {
+					lanes[li].ras.Push(r.FallThrough())
+				}
+			}
+			if cls == trace.ClassReturn {
+				for li := bt.lo; li < bt.hi; li++ {
+					lanes[li].ras.Pop()
+				}
+			}
+			if hit {
+				bt.btb.UpdateHit(bref, &r)
+			} else {
+				bt.btb.Update(&r)
+			}
+		}
+
+		// ---- resolve: per-member target-cache training, then the
+		// shared structures ----
+		if indirectCls {
+			for mi := range members {
+				tcs[mi].Update(r.PC, phVals[members[mi].hist], r.Target)
+			}
+		}
+		if cls == trace.ClassCondDirect {
+			dir.Update(r.PC, r.Taken)
+		}
+		for pi := range hists {
+			hists[pi].Observe(&r)
+		}
+	}
+	k.branches = branches
+	return len(meta), nil
+}
+
+// finish assembles the results: a target-cache member's is its BTB's
+// skeleton, its lane's RAS counters and its own divergence counters; a
+// BTB-only member's has the BTB's verdict in place of the last. Every
+// member reports the instruction and branch counts and the error a
+// streaming run stopped at the same record would.
+func (g *gang) finish(insns, branches int64, err error) ([]AccuracyResult, []AccuracyResult) {
+	assemble := func(tcCovered int64, parts ...*classCounters) AccuracyResult {
+		var c classCounters
+		for _, p := range parts {
+			c.add(p)
+		}
+		return AccuracyResult{
+			Instructions: insns, Branches: branches,
+			Conditional: c[slotCond], Direct: c[slotDirect], Returns: c[slotReturns], Indirect: c[slotIndirect], Overall: c[slotOverall],
+			TCCovered: tcCovered, Err: err,
+		}
+	}
+	out := make([]AccuracyResult, len(g.members))
+	btbRes := make([]AccuracyResult, len(g.lanes))
+	for bti := range g.btbs {
+		bt := &g.btbs[bti]
+		for li := bt.lo; li < bt.hi; li++ {
+			ln := &g.lanes[li]
+			for mi := ln.lo; mi < ln.hi; mi++ {
+				m := &g.members[mi]
+				out[mi] = assemble(m.tcCovered, &bt.skeleton, &ln.fromRAS, &m.classCounters)
+			}
+			if ln.btbOnly {
+				btbRes[li] = assemble(0, &bt.skeleton, &ln.fromRAS, bt.verdict)
+			}
+		}
+	}
+	return out, btbRes
 }
 
 // readHists loads every history register's value for pc into phVals.
@@ -669,10 +743,12 @@ func readHists[H historySource](hists []H, phVals []uint64, pc uint64) {
 
 // resetGang clears every predictor structure of the gang at a flush
 // boundary, as Engine.Reset does for a streaming run.
-func resetGang[TC targetCache, H historySource](dir *dirpred.Predictor, lanes []gangLane, tcs []TC, hists []H) {
+func resetGang[TC targetCache, H historySource](dir *dirpred.Predictor, btbs []gangBTB, lanes []gangLane, tcs []TC, hists []H) {
 	dir.Reset()
+	for i := range btbs {
+		btbs[i].btb.Reset()
+	}
 	for li := range lanes {
-		lanes[li].btb.Reset()
 		lanes[li].ras.Reset()
 	}
 	for i := range tcs {

@@ -10,15 +10,26 @@ package trace
 // records without materializing a Record at all.
 //
 // The batch layout is parallel slices of BlockLen records each: pc, target
-// and effective address as uint64 slices, the register operands as byte
+// and effective address as value columns, the register operands as byte
 // slices, and a packed Meta byte per record (class, op class, taken bit).
-// Blocks are immutable once built; any number of goroutines may iterate
-// them concurrently, matching the Cursor guarantee.
+// The value columns are uint32 whenever every value in the block fits in
+// 32 bits — every shipped workload's addresses do, by a wide margin — and
+// uint64 otherwise, decided per block so any input still round-trips: a
+// narrow record costs 16 bytes, a wide one 28. Blocks are immutable once
+// built; any number of goroutines may iterate them concurrently, matching
+// the Cursor guarantee.
 
-// BlockLen is the record capacity of one Block. Each block's column data
-// spans ~112KB, large enough to amortise loop setup and small enough to
-// stay cache-friendly.
+// BlockLen is the record capacity of one Block. A narrow block's column
+// data spans 64KB (a wide one's 112KB), large enough to amortise loop
+// setup and small enough to stay cache-friendly.
 const BlockLen = 4096
+
+// Decoded bytes per record: three value columns plus the Meta, Dst, Src1
+// and Src2 bytes, in a narrow and in a wide block.
+const (
+	NarrowRecordBytes = 3*4 + 4
+	WideRecordBytes   = 3*8 + 4
+)
 
 // Meta byte layout: bits 0-3 the Class, bits 4-6 the OpClass, bit 7 the
 // taken flag. Together with the value columns this reconstructs the full
@@ -31,14 +42,33 @@ const (
 	MetaTaken     = 0x80
 )
 
+// Word is the element type of a block's value columns.
+type Word interface{ ~uint32 | ~uint64 }
+
+// Columns are a block's value columns at element type W: per record its
+// PC, its Target and its effective Addr (zero where the record has none).
+type Columns[W Word] struct {
+	PC, Target, Addr []W
+}
+
+// carveColumns splits the first 3*n words of slab into n-record columns,
+// with full-slice expressions so no column can grow into the next.
+func carveColumns[W Word](slab []W, n int) Columns[W] {
+	return Columns[W]{PC: slab[0*n : 1*n : 1*n], Target: slab[1*n : 2*n : 2*n], Addr: slab[2*n : 3*n : 3*n]}
+}
+
 // Block is one structure-of-arrays batch of decoded records. All slices
 // share the same length. The slices are exported so hot simulation kernels
 // can index the columns directly; they are shared and must be treated as
 // read-only.
+//
+// Exactly one of Narrow and Wide holds the value columns: Narrow when
+// every PC, Target and Addr of the block fits in 32 bits, Wide otherwise.
+// Kernels test IsWide once per block and run an inner loop generic over
+// Word, so each element type compiles to its own direct code.
 type Block struct {
-	PC     []uint64
-	Target []uint64
-	Addr   []uint64
+	Narrow Columns[uint32]
+	Wide   Columns[uint64]
 	Meta   []uint8
 	Dst    []uint8
 	Src1   []uint8
@@ -47,6 +77,17 @@ type Block struct {
 
 // Len returns the number of records in the block.
 func (b *Block) Len() int { return len(b.Meta) }
+
+// IsWide reports whether the block's value columns are Wide.
+func (b *Block) IsWide() bool { return b.Wide.PC != nil }
+
+// ByteSize returns the resident size of the block's columns in bytes.
+func (b *Block) ByteSize() int64 {
+	if b.IsWide() {
+		return int64(b.Len()) * WideRecordBytes
+	}
+	return int64(b.Len()) * NarrowRecordBytes
+}
 
 // Class returns record i's control-flow class.
 func (b *Block) Class(i int) Class { return Class(b.Meta[i] & MetaClassMask) }
@@ -61,16 +102,46 @@ func (b *Block) Taken(i int) bool { return b.Meta[i]&MetaTaken != 0 }
 func (b *Block) Record(i int, r *Record) {
 	m := b.Meta[i]
 	*r = Record{
-		PC:     b.PC[i],
-		Target: b.Target[i],
-		Addr:   b.Addr[i],
-		Class:  Class(m & MetaClassMask),
-		Op:     OpClass(m >> MetaOpShift & MetaOpMask),
-		Taken:  m&MetaTaken != 0,
-		Dst:    b.Dst[i],
-		Src1:   b.Src1[i],
-		Src2:   b.Src2[i],
+		Class: Class(m & MetaClassMask),
+		Op:    OpClass(m >> MetaOpShift & MetaOpMask),
+		Taken: m&MetaTaken != 0,
+		Dst:   b.Dst[i],
+		Src1:  b.Src1[i],
+		Src2:  b.Src2[i],
 	}
+	if b.IsWide() {
+		r.PC, r.Target, r.Addr = b.Wide.PC[i], b.Wide.Target[i], b.Wide.Addr[i]
+	} else {
+		r.PC, r.Target, r.Addr = uint64(b.Narrow.PC[i]), uint64(b.Narrow.Target[i]), uint64(b.Narrow.Addr[i])
+	}
+}
+
+// setValues stores record i's value columns, widening the block the first
+// time a value does not fit in 32 bits.
+func (b *Block) setValues(i int, pc, target, addr uint64) {
+	if !b.IsWide() {
+		if (pc|target|addr)>>32 == 0 {
+			b.Narrow.PC[i], b.Narrow.Target[i], b.Narrow.Addr[i] = uint32(pc), uint32(target), uint32(addr)
+			return
+		}
+		b.widen()
+	}
+	b.Wide.PC[i], b.Wide.Target[i], b.Wide.Addr[i] = pc, target, addr
+}
+
+// widen converts a narrow block under construction to wide columns of the
+// same length, carrying over every value stored so far. The narrow
+// columns' slab space is abandoned: a wide record is rare enough that
+// reclaiming it is not worth an allocator.
+func (b *Block) widen() {
+	n := len(b.Meta)
+	b.Wide = carveColumns(make([]uint64, 3*n), n)
+	for i := range n {
+		b.Wide.PC[i] = uint64(b.Narrow.PC[i])
+		b.Wide.Target[i] = uint64(b.Narrow.Target[i])
+		b.Wide.Addr[i] = uint64(b.Narrow.Addr[i])
+	}
+	b.Narrow = Columns[uint32]{}
 }
 
 // BlockSource is a randomly addressable decoded capture: the abstraction
@@ -152,29 +223,29 @@ var (
 // the experiment suite shows per-block column allocation (7 fresh slices
 // every 4096 records) dominating capture cost — mostly page-fault and
 // allocator overhead on the many small makes. One slab covers
-// arenaBlocks=64 blocks (6 MB of uint64 columns, 1 MB of byte columns),
+// arenaBlocks=64 blocks (3 MB of uint32 columns, 1 MB of byte columns),
 // cutting the allocation count 64× while keeping each block's columns
-// contiguous. Slices are carved with full-slice expressions so a block can
-// never grow into its neighbour's storage.
+// contiguous. Blocks start narrow; the rare block that widens allocates
+// its uint64 columns on its own (Block.widen). Slices are carved with
+// full-slice expressions so a block can never grow into its neighbour's
+// storage.
 type columnArena struct {
-	u64 []uint64
+	u32 []uint32
 	u8  []uint8
 }
 
 const arenaBlocks = 64
 
-// alloc returns a zeroed Block with column capacity n.
+// alloc returns a zeroed narrow Block with column capacity n.
 func (a *columnArena) alloc(n int) Block {
-	if len(a.u64) < 3*n || len(a.u8) < 4*n {
-		a.u64 = make([]uint64, 3*BlockLen*arenaBlocks)
+	if len(a.u32) < 3*n || len(a.u8) < 4*n {
+		a.u32 = make([]uint32, 3*BlockLen*arenaBlocks)
 		a.u8 = make([]uint8, 4*BlockLen*arenaBlocks)
 	}
-	u64, u8 := a.u64, a.u8
-	a.u64, a.u8 = u64[3*n:], u8[4*n:]
+	u32, u8 := a.u32, a.u8
+	a.u32, a.u8 = u32[3*n:], u8[4*n:]
 	return Block{
-		PC:     u64[0*n : 1*n : 1*n],
-		Target: u64[1*n : 2*n : 2*n],
-		Addr:   u64[2*n : 3*n : 3*n],
+		Narrow: carveColumns(u32, n),
 		Meta:   u8[0*n : 1*n : 1*n],
 		Dst:    u8[1*n : 2*n : 2*n],
 		Src1:   u8[2*n : 3*n : 3*n],
@@ -294,9 +365,7 @@ func decodeBlocks(rep *Replay) *Blocks {
 			blk.Src2[filled] = buf[cur.pos+2]
 			cur.pos += 3
 		}
-		blk.PC[filled] = pc
-		blk.Target[filled] = target
-		blk.Addr[filled] = addr
+		blk.setValues(filled, pc, target, addr)
 		// classOp already packs class (bits 0-3) and op (bits 4-6) in the
 		// Meta layout; only the taken bit is added.
 		mb := classOp
@@ -340,9 +409,7 @@ func (b *blockBuilder) add(r *Record) {
 	}
 	blk := &b.bs.blocks[len(b.bs.blocks)-1]
 	i := b.filled
-	blk.PC[i] = r.PC
-	blk.Target[i] = r.Target
-	blk.Addr[i] = r.Addr
+	blk.setValues(i, r.PC, r.Target, r.Addr)
 	blk.Dst[i] = r.Dst
 	blk.Src1[i] = r.Src1
 	blk.Src2[i] = r.Src2
@@ -366,19 +433,32 @@ func (b *blockBuilder) finish() *Blocks {
 }
 
 // ByteSize returns the resident size of the decoded columns in bytes
-// (3 uint64 and 4 byte columns per record), the figure memory accounting
-// wants for an in-memory capture.
-func (bs *Blocks) ByteSize() int64 { return bs.n * (3*8 + 4) }
+// (NarrowRecordBytes or WideRecordBytes per record, block by block), the
+// figure memory accounting wants for an in-memory capture.
+func (bs *Blocks) ByteSize() int64 {
+	var n int64
+	for i := range bs.blocks {
+		n += bs.blocks[i].ByteSize()
+	}
+	return n
+}
 
 // truncate seals a block's columns at its decoded length.
 func (b *Block) truncate(n int) {
-	b.PC = b.PC[:n]
-	b.Target = b.Target[:n]
-	b.Addr = b.Addr[:n]
+	if b.IsWide() {
+		b.Wide = b.Wide.truncate(n)
+	} else {
+		b.Narrow = b.Narrow.truncate(n)
+	}
 	b.Meta = b.Meta[:n]
 	b.Dst = b.Dst[:n]
 	b.Src1 = b.Src1[:n]
 	b.Src2 = b.Src2[:n]
+}
+
+// truncate returns the columns cut to n records.
+func (c Columns[W]) truncate(n int) Columns[W] {
+	return Columns[W]{PC: c.PC[:n], Target: c.Target[:n], Addr: c.Addr[:n]}
 }
 
 // Blocks returns the capture decoded into batches, decoding on first call

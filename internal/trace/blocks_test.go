@@ -186,10 +186,39 @@ func FuzzBlocks(f *testing.F) {
 	for _, v := range damagedVariants(seed, rep.Len()) {
 		f.Add(v.buf, v.n)
 	}
+	// Values of 2^32 and above: one wide record mid-block, and every
+	// record relocated above 4 GiB, so the decoder's wide fallback is in
+	// the corpus.
+	for _, recs := range wideSeedRecords(trace.Collect(trace.NewLimit(w.Open(), 4_000))) {
+		wide := trace.Capture(trace.NewSliceSource(recs))
+		for _, v := range damagedVariants(wide.Bytes(), wide.Len()) {
+			f.Add(v.buf, v.n)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n int64) {
 		vr := trace.NewReplayBytes(data, n)
 		cRecs, cErr := drainAll(vr.Open())
 		bRecs, bErr := drainAll(vr.Blocks().Open())
 		assertSameStream(t, cRecs, bRecs, cErr, bErr)
 	})
+}
+
+// wideSeedRecords returns two variants of recs that need wide columns:
+// one record in the middle rewritten to an indirect jump between
+// addresses above 4 GiB, and every PC, target and address moved up by
+// 2^32.
+func wideSeedRecords(recs []trace.Record) [][]trace.Record {
+	mid := append([]trace.Record(nil), recs...)
+	mid[len(mid)/2] = trace.Record{PC: 1<<40 + 0x100, Target: 1<<33 + 0x40, Addr: 1 << 32, Class: trace.ClassIndJump, Op: trace.OpBranch, Taken: true}
+	high := append([]trace.Record(nil), recs...)
+	for i := range high {
+		high[i].PC += 1 << 32
+		if high[i].Target != 0 {
+			high[i].Target += 1 << 32
+		}
+		if high[i].Addr != 0 {
+			high[i].Addr += 1 << 32
+		}
+	}
+	return [][]trace.Record{mid, high}
 }

@@ -162,15 +162,20 @@ func FuzzStore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := trace.WriteStore(&buf, trace.NewLimit(w.Open(), 10_000), trace.StoreOptions{
-			Compress:     compress,
-			GroupRecords: 4096,
-		}); err != nil {
-			f.Fatal(err)
+	recs := trace.Collect(trace.NewLimit(w.Open(), 10_000))
+	// The intact capture, then the variants whose values need wide
+	// columns (2^32 and above).
+	for _, rs := range append([][]trace.Record{recs}, wideSeedRecords(recs)...) {
+		for _, compress := range []bool{false, true} {
+			var buf bytes.Buffer
+			if _, err := trace.WriteStore(&buf, trace.NewSliceSource(rs), trace.StoreOptions{
+				Compress:     compress,
+				GroupRecords: 4096,
+			}); err != nil {
+				f.Fatal(err)
+			}
+			addDamagedVariants(f, buf.Bytes())
 		}
-		addDamagedVariants(f, buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := trace.OpenStore(bytes.NewReader(data), int64(len(data)), 1<<20)

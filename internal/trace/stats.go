@@ -70,52 +70,13 @@ func (s *Stats) Consume(src Source) *Stats {
 	return s
 }
 
-// ConsumeBlocks accumulates every record of a decoded capture, equivalent
-// to Consume over bs.Open() but without materializing Records: the class
-// and op come from the packed meta byte, and only indirect jumps touch the
-// pc/target columns.
-func (s *Stats) ConsumeBlocks(bs *Blocks) *Stats {
-	for bi := 0; bi < bs.NumBlocks(); bi++ {
-		blk := bs.Block(bi)
-		meta := blk.Meta
-		pcs := blk.PC[:len(meta)]
-		tgts := blk.Target[:len(meta)]
-		for i, mb := range meta {
-			s.Instructions++
-			s.OpMix[mb>>MetaOpShift&MetaOpMask]++
-			cls := Class(mb & MetaClassMask)
-			switch cls {
-			case ClassOther:
-				continue
-			case ClassCondDirect:
-				s.CondDirect++
-			case ClassUncondDirect:
-				s.UncondDirect++
-			case ClassCall:
-				s.Calls++
-			case ClassReturn:
-				s.Returns++
-			case ClassIndJump, ClassIndCall:
-				s.IndJumps++
-				pc := pcs[i]
-				set := s.targets[pc]
-				if set == nil {
-					set = make(map[uint64]struct{})
-					s.targets[pc] = set
-				}
-				set[tgts[i]] = struct{}{}
-				s.dynCount[pc]++
-			}
-			s.Branches++
-		}
-	}
-	return s
-}
-
-// ConsumeBatches is ConsumeBlocks over any BlockSource, stopping after
-// limit records (limit <= 0 means all). It mirrors the kernel tail
-// contract: the clean prefix is always accumulated, and an error is
-// returned only when the limit reaches past it.
+// ConsumeBatches accumulates the records of a decoded capture, stopping
+// after limit records (limit <= 0 means all). It is equivalent to Consume
+// over bs.Open() but never materializes a Record: the class and op come
+// from the packed meta byte, and only indirect jumps touch the pc/target
+// columns. It mirrors the kernel tail contract: the clean prefix is always
+// accumulated, and an error is returned only when the limit reaches past
+// it.
 func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
 	budget := bs.Len()
 	if limit > 0 && limit < budget {
@@ -137,35 +98,10 @@ func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
 		if rem := effN - done; rem < int64(len(meta)) {
 			meta = meta[:rem]
 		}
-		pcs := blk.PC[:len(meta)]
-		tgts := blk.Target[:len(meta)]
-		for i, mb := range meta {
-			s.Instructions++
-			s.OpMix[mb>>MetaOpShift&MetaOpMask]++
-			cls := Class(mb & MetaClassMask)
-			switch cls {
-			case ClassOther:
-				continue
-			case ClassCondDirect:
-				s.CondDirect++
-			case ClassUncondDirect:
-				s.UncondDirect++
-			case ClassCall:
-				s.Calls++
-			case ClassReturn:
-				s.Returns++
-			case ClassIndJump, ClassIndCall:
-				s.IndJumps++
-				pc := pcs[i]
-				set := s.targets[pc]
-				if set == nil {
-					set = make(map[uint64]struct{})
-					s.targets[pc] = set
-				}
-				set[tgts[i]] = struct{}{}
-				s.dynCount[pc]++
-			}
-			s.Branches++
+		if blk.IsWide() {
+			observeBlock(s, meta, blk.Wide)
+		} else {
+			observeBlock(s, meta, blk.Narrow)
 		}
 		done += int64(len(meta))
 	}
@@ -173,6 +109,41 @@ func (s *Stats) ConsumeBatches(bs BlockSource, limit int64) (*Stats, error) {
 		return s, bs.TailErr()
 	}
 	return s, nil
+}
+
+// observeBlock accumulates the records of one block whose Meta column is
+// cut to meta.
+func observeBlock[W Word](s *Stats, meta []uint8, cols Columns[W]) {
+	pcs := cols.PC[:len(meta)]
+	tgts := cols.Target[:len(meta)]
+	for i, mb := range meta {
+		s.Instructions++
+		s.OpMix[mb>>MetaOpShift&MetaOpMask]++
+		cls := Class(mb & MetaClassMask)
+		switch cls {
+		case ClassOther:
+			continue
+		case ClassCondDirect:
+			s.CondDirect++
+		case ClassUncondDirect:
+			s.UncondDirect++
+		case ClassCall:
+			s.Calls++
+		case ClassReturn:
+			s.Returns++
+		case ClassIndJump, ClassIndCall:
+			s.IndJumps++
+			pc := uint64(pcs[i])
+			set := s.targets[pc]
+			if set == nil {
+				set = make(map[uint64]struct{})
+				s.targets[pc] = set
+			}
+			set[uint64(tgts[i])] = struct{}{}
+			s.dynCount[pc]++
+		}
+		s.Branches++
+	}
 }
 
 // StaticIndJumps returns the number of distinct static indirect jumps seen.

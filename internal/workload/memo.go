@@ -37,9 +37,9 @@ import (
 //     flat memory. See ConfigureSpill.
 //
 // The memo never evicts: tcsim runs use at most two budgets per workload
-// (accuracy and timing), roughly 4 bytes per instruction resident — or
-// only the block cache when spilled. Library users sweeping many budgets
-// can call ResetMemo between sweeps.
+// (accuracy and timing), trace.NarrowRecordBytes (16) per instruction
+// resident — or only the block cache when spilled. Library users sweeping
+// many budgets can call ResetMemo between sweeps.
 
 type memoKey struct {
 	name   string

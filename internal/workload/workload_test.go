@@ -82,3 +82,25 @@ func TestByName(t *testing.T) {
 		t.Fatalf("PerlGcc returned %s, %s", pg[0].Name, pg[1].Name)
 	}
 }
+
+// TestShippedWorkloadsStayNarrow pins the decoded capture at
+// trace.NarrowRecordBytes per record for every registered workload at the
+// suite's accuracy budget: every PC, target and address fits the uint32
+// columns, so no capture silently falls back to wide columns.
+func TestShippedWorkloadsStayNarrow(t *testing.T) {
+	budget := int64(2_000_000)
+	if testing.Short() {
+		budget = smokeBudget
+	}
+	for _, name := range Names() {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := trace.CaptureSized(trace.NewLimit(w.Open(), budget), budget)
+		if got, want := rep.MemBytes(), rep.Len()*trace.NarrowRecordBytes; got != want {
+			t.Errorf("%s: %d-record capture holds %d decoded bytes (%.2f per record), want %d",
+				name, rep.Len(), got, float64(got)/float64(rep.Len()), want)
+		}
+	}
+}
